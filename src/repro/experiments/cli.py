@@ -14,11 +14,16 @@ subcommand is treated as an experiment id (or a comma-separated list,
 benchmarks write to ``results/``; ``--results DIR`` also writes the
 reports there under the benchmarks' provenance header.
 
-``--jobs N`` shards the chosen experiments across worker processes and
-merges reports and telemetry back in experiment order, so the output
-is identical to a serial run.  ``--cache [DIR]`` replays unchanged
-experiments from the content-addressed result cache (default
-``.repro-cache/``) instead of re-simulating them.
+Figures 15-17 (and fig01's Hetero column) read one execution matrix:
+within one invocation each matrix cell is simulated once and shared by
+every experiment that reads it.
+
+``--jobs N`` shards the chosen experiments across worker processes
+(matrix experiments per cell) and merges reports and telemetry back in
+experiment order, so the output is identical to a serial run.
+``--cache [DIR]`` replays unchanged experiments and matrix cells from
+the content-addressed result cache (default ``.repro-cache/``) instead
+of re-simulating them.
 
 Telemetry flags (``--trace``, ``--spans``, ``--metrics``) install an
 ambient tracer/metrics registry around the chosen experiments and
@@ -52,6 +57,8 @@ from repro.telemetry import (
     SamplingConfig,
     Telemetry,
     build_profile,
+    current_metrics,
+    current_tracer,
     render_html,
     render_summary,
     render_text,
@@ -237,41 +244,101 @@ def config_from_args(args: argparse.Namespace) -> runner.ExperimentConfig:
                                    service=service)
 
 
+#: Experiments whose simulation work is execution-matrix cells
+#: (``runner.run_matrix``).  A sharded invocation runs them in this
+#: process and shards their cells instead, so the invocation's cell
+#: memo and the per-cell result cache serve all of them.
+MATRIX_EXPERIMENTS = frozenset({"fig01", "fig15", "fig16", "fig17"})
+
+
+@contextlib.contextmanager
+def _profiled(name: str, telemetry: typing.Optional[Telemetry],
+              want_spans: bool,
+              profiles: typing.List[typing.Any]) -> typing.Iterator[None]:
+    """Profile the spans one experiment adds to the session telemetry."""
+    if telemetry is None:
+        yield
+        return
+    mark = len(telemetry.tracer.spans)
+    overlap_counter = telemetry.metrics.counter(
+        "sched.interleave.overlap_ns")
+    overlap_before = overlap_counter.value
+    yield
+    if want_spans:
+        # The counter is cumulative across experiments; the profile
+        # wants this experiment's contribution only.
+        profiles.append(build_profile(
+            name, telemetry.tracer.spans[mark:],
+            overlap_total_ns=overlap_counter.value - overlap_before))
+
+
+def _run_here(name: str, config: runner.ExperimentConfig,
+              telemetry: typing.Optional[Telemetry],
+              memo: runner.CellMemo) -> str:
+    """Run one experiment in this process under the session telemetry."""
+    _, run_fn = EXPERIMENTS[name]
+    memo.experiment = name
+    # Same cell boundary as the sharded workers: request ids restart
+    # per experiment (and per matrix cell within it).
+    reset_request_ids()
+    with contextlib.ExitStack() as stack:
+        if telemetry is not None:
+            stack.enter_context(telemetry.activate())
+            stack.enter_context(telemetry.tracer.scope(name))
+        stack.enter_context(use_backend(config.backend))
+        return typing.cast(str, run_fn(config))
+
+
 def _run_sharded(chosen: typing.List[str],
                  config: runner.ExperimentConfig,
                  args: argparse.Namespace,
                  telemetry: typing.Optional[Telemetry],
                  want_spans: bool,
-                 profiles: typing.List[typing.Any]
-                 ) -> typing.Dict[str, str]:
+                 profiles: typing.List[typing.Any],
+                 memo: runner.CellMemo) -> typing.Dict[str, str]:
     """The ``--jobs``/``--cache`` path: shard experiments, merge back.
 
-    Fragments merge into the session telemetry one experiment at a
-    time, in experiment order, so per-experiment profiles and the
-    merged trace match a serial run.
+    Matrix experiments run here and shard per cell through ``memo``;
+    the rest run as whole-experiment shards.  Fragments merge into the
+    session telemetry one experiment at a time, in experiment order,
+    so per-experiment profiles and the merged trace match a serial run.
     """
-    if telemetry is None:
-        run = parallel.run_experiments_parallel(
-            chosen, config, jobs=args.jobs, cache_dir=args.cache)
-        return run.reports
-    with telemetry.activate():
-        run = parallel.run_experiments_parallel(
-            chosen, config, jobs=args.jobs, cache_dir=args.cache,
-            merge_into_ambient=False)
-    for name in chosen:
-        outcome = run.outcomes[name]
-        mark = len(telemetry.tracer.spans)
-        overlap_counter = telemetry.metrics.counter(
-            "sched.interleave.overlap_ns")
-        overlap_before = overlap_counter.value
-        parallel.merge_outcome(outcome, telemetry.metrics,
-                               telemetry.tracer)
-        if want_spans:
-            profiles.append(build_profile(
-                name, telemetry.tracer.spans[mark:],
-                overlap_total_ns=(overlap_counter.value
-                                  - overlap_before)))
-    return run.reports
+    shards = [name for name in chosen if name not in MATRIX_EXPERIMENTS]
+    reports: typing.Dict[str, str] = {}
+    with (telemetry.activate() if telemetry is not None
+          else contextlib.nullcontext()):
+        outcomes = (parallel.run_experiments_parallel(
+            shards, config, jobs=args.jobs, cache_dir=args.cache,
+            merge_into_ambient=False).outcomes if shards else {})
+        for name in chosen:
+            with _profiled(name, telemetry, want_spans, profiles):
+                if name in MATRIX_EXPERIMENTS:
+                    reports[name] = _run_here(name, config, telemetry,
+                                              memo)
+                    continue
+                parallel.merge_outcome(outcomes[name], current_metrics(),
+                                       current_tracer())
+                reports[name] = typing.cast(str, outcomes[name].payload)
+    return reports
+
+
+def _profile_text(profile: typing.Any, memo: runner.CellMemo) -> str:
+    """``--profile`` output for one experiment, naming reused cells.
+
+    Reused cells recorded their spans in the experiment that simulated
+    them, so an experiment whose cells were all reused gets one line
+    pointing there instead of an empty attribution table.
+    """
+    reused = memo.reused.get(profile.name)
+    if not reused:
+        return render_text(profile)
+    count = sum(reused.values())
+    sources = ", ".join(reused)
+    if not memo.filled[profile.name]:
+        return (f"profile: {profile.name}: all {count} matrix cells "
+                f"reused from {sources} (profiled there)")
+    return (f"{render_text(profile)}\n  {count} matrix cell(s) reused "
+            f"from {sources} (profiled there)")
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
@@ -328,42 +395,25 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     # feed it directly via the hook; sharded runs capture per-worker
     # fragments and merge_outcome folds them into this same instance.
     hostprof = HostProfiler() if args.hostprof is not None else None
-    profiles = []
+    profiles: typing.List[typing.Any] = []
     reports: typing.Dict[str, str] = {}
-    with (use_hostprof(hostprof) if hostprof is not None
-          else contextlib.nullcontext()):
+    with contextlib.ExitStack() as stack:
+        if hostprof is not None:
+            stack.enter_context(use_hostprof(hostprof))
+        # One cell memo per invocation: figures reading the same
+        # execution matrix simulate each cell once between them.
+        memo = stack.enter_context(runner.shared_cells(
+            jobs=args.jobs, cache_dir=args.cache))
         if args.jobs != 1 or args.cache is not None:
             reports = _run_sharded(chosen, config, args, telemetry,
-                                   want_spans, profiles)
+                                   want_spans, profiles, memo)
             for name in chosen:
                 print(reports[name])
                 print()
         else:
             for name in chosen:
-                _, run_fn = EXPERIMENTS[name]
-                # Same cell boundary as the sharded workers: request ids
-                # restart per experiment (and per matrix cell within it).
-                reset_request_ids()
-                if telemetry is not None:
-                    mark = len(telemetry.tracer.spans)
-                    overlap_counter = telemetry.metrics.counter(
-                        "sched.interleave.overlap_ns")
-                    overlap_before = overlap_counter.value
-                    with telemetry.activate(), \
-                            telemetry.tracer.scope(name), \
-                            use_backend(config.backend):
-                        report = run_fn(config)
-                    if want_spans:
-                        # The counter is cumulative across experiments;
-                        # the profile wants this experiment's
-                        # contribution only.
-                        profiles.append(build_profile(
-                            name, telemetry.tracer.spans[mark:],
-                            overlap_total_ns=(overlap_counter.value
-                                              - overlap_before)))
-                else:
-                    with use_backend(config.backend):
-                        report = run_fn(config)
+                with _profiled(name, telemetry, want_spans, profiles):
+                    report = _run_here(name, config, telemetry, memo)
                 reports[name] = report
                 print(report)
                 print()
@@ -385,7 +435,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
             print(f"time series written to {args.timeseries}")
         if args.profile:
             for profile in profiles:
-                print(render_text(profile))
+                print(_profile_text(profile, memo))
                 print()
         if args.report:
             timeseries_doc = (telemetry.timeseries_document()

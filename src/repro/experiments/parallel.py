@@ -425,21 +425,40 @@ def run_matrix_parallel(
     """
     chosen = tuple(workloads) if workloads is not None else config.workloads
     runner.require_cells(chosen, systems)
+    return run_cells_parallel(
+        config, [(workload, system)
+                 for workload in chosen for system in systems],
+        jobs=jobs, cache_dir=cache_dir)
+
+
+def run_cells_parallel(
+        config: runner.ExperimentConfig,
+        cells: typing.Sequence[typing.Tuple[str, str]],
+        *,
+        jobs: int = 1,
+        cache_dir: typing.Union[str, os.PathLike[str], None] = None,
+) -> MatrixRun:
+    """Shard an explicit list of (workload, system) cells.
+
+    The invocation's cell memo fills its misses here, so a sharded or
+    cached run simulates (or replays) each matrix cell once however
+    many figures read it.  Cells merge in list order.
+    """
     capture = _ambient_capture()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    cells = [(f"matrix/{workload}/{system}", (config, workload, system))
-             for workload in chosen for system in systems]
+    shards = [(f"matrix/{workload}/{system}", (config, workload, system))
+              for workload, system in cells]
     keys = None
     if cache is not None:
         tree = source_tree_digest()
         keys = [cell_key(cell_id, config, capture, tree)
-                for cell_id, _ in cells]
+                for cell_id, _ in shards]
     outcomes, stats = _execute_cells(
-        cells, _run_matrix_cell, jobs, cache, keys, capture)
+        shards, _run_matrix_cell, jobs, cache, keys, capture)
     registry = current_metrics()
     tracer = current_tracer()
     matrix: typing.Dict[str, typing.Dict[str, ExecutionResult]] = {}
-    for (_, (_, workload, system)), outcome in zip(cells, outcomes):
+    for (workload, system), outcome in zip(cells, outcomes):
         merge_outcome(outcome, registry, tracer)
         matrix.setdefault(workload, {})[system] = typing.cast(
             ExecutionResult, outcome.payload)

@@ -8,6 +8,9 @@ records into the active tracer/registry; no extra plumbing here.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import contextvars
 import dataclasses
 import os
 import typing
@@ -116,13 +119,17 @@ def require_cells(workloads: typing.Sequence[str],
             "nothing to run")
 
 
+#: ``matrix[workload][system] -> ExecutionResult``.
+Matrix = typing.Dict[str, typing.Dict[str, ExecutionResult]]
+
+
 def run_matrix(config: ExperimentConfig,
                systems: typing.Sequence[str],
                workloads: typing.Sequence[str] | None = None,
                *,
                jobs: int = 1,
                cache_dir: typing.Union[str, "os.PathLike[str]", None] = None,
-               ) -> typing.Dict[str, typing.Dict[str, ExecutionResult]]:
+               ) -> Matrix:
     """Run every (workload, system) pair.
 
     Returns ``matrix[workload][system] -> ExecutionResult``.
@@ -133,27 +140,125 @@ def run_matrix(config: ExperimentConfig,
     the content-addressed result cache so unchanged cells are replayed
     instead of re-simulated.  Both paths live in
     :mod:`repro.experiments.parallel`.
+
+    Inside :func:`shared_cells` (one CLI invocation) cells already
+    simulated are reused, and the misses are filled with the memo's
+    ``jobs``/``cache_dir`` instead of the arguments.
     """
     chosen = tuple(workloads) if workloads is not None else config.workloads
     require_cells(chosen, systems)
+    cells = [(workload_name, system_name)
+             for workload_name in chosen for system_name in systems]
+    memo = _MEMO.get()
+    if memo is not None:
+        return memo.matrix(config, cells)
+    return simulate_cells(config, cells, jobs=jobs, cache_dir=cache_dir)
+
+
+def simulate_cells(config: ExperimentConfig,
+                   cells: typing.Sequence[typing.Tuple[str, str]],
+                   *,
+                   jobs: int = 1,
+                   cache_dir: typing.Union[str, "os.PathLike[str]",
+                                           None] = None,
+                   ) -> Matrix:
+    """Simulate (workload, system) ``cells`` in order; no memo.
+
+    Returns the same nested mapping as :func:`run_matrix`, holding just
+    these cells.  A trace bundle is generated once per run of
+    consecutive cells of one workload.
+    """
     if jobs != 1 or cache_dir is not None:
         from repro.experiments import parallel
-        return parallel.run_matrix_parallel(
-            config, systems, chosen, jobs=jobs, cache_dir=cache_dir).matrix
+        return parallel.run_cells_parallel(
+            config, cells, jobs=jobs, cache_dir=cache_dir).matrix
     system_config = config.system_config()
-    matrix: typing.Dict[str, typing.Dict[str, ExecutionResult]] = {}
+    matrix: Matrix = {}
+    bundle_name = None
     with use_backend(config.backend):
-        for workload_name in chosen:
-            bundle = config.bundle(workload_name)
-            row = {}
-            for system_name in systems:
-                # Cell-local request numbering: parallel workers reset at
-                # the same boundary, so span ``req`` tags match exactly.
-                reset_request_ids()
-                system = build_system(system_name, system_config)
-                row[system_name] = system.run(bundle)
-            matrix[workload_name] = row
+        for workload_name, system_name in cells:
+            if workload_name != bundle_name:
+                bundle = config.bundle(workload_name)
+                bundle_name = workload_name
+            # Cell-local request numbering: parallel workers reset at
+            # the same boundary, so span ``req`` tags match exactly.
+            reset_request_ids()
+            system = build_system(system_name, system_config)
+            matrix.setdefault(workload_name, {})[system_name] = (
+                system.run(bundle))
     return matrix
+
+
+#: One execution-matrix cell: (config, workload, system).
+CellKey = typing.Tuple[ExperimentConfig, str, str]
+
+
+class CellMemo:
+    """The matrix cells one CLI invocation has simulated so far.
+
+    Figs. 15-17 (and fig01's Hetero column) are views of one execution
+    matrix.  While a memo is open, :func:`run_matrix` simulates each
+    (config, workload, system) cell once and hands the same
+    :class:`ExecutionResult` to every later experiment, so a reused
+    cell records no second set of spans or metrics.  Misses are filled
+    by :func:`simulate_cells` with the invocation's ``jobs`` and
+    ``cache_dir``.
+    """
+
+    def __init__(self, jobs: int = 1,
+                 cache_dir: typing.Union[str, "os.PathLike[str]",
+                                         None] = None) -> None:
+        self.jobs = jobs
+        self.cache_dir = cache_dir
+        #: Experiment now running; the cells it fills are credited to it.
+        self.experiment = ""
+        #: experiment -> cells it filled.
+        self.filled: typing.Counter[str] = collections.Counter()
+        #: experiment -> {experiment that filled them: cells reused}.
+        self.reused: typing.Dict[str, typing.Counter[str]] = {}
+        self._cells: typing.Dict[CellKey,
+                                 typing.Tuple[ExecutionResult, str]] = {}
+
+    def matrix(self, config: ExperimentConfig,
+               cells: typing.Sequence[typing.Tuple[str, str]]) -> Matrix:
+        """``cells`` as a matrix, simulating only the ones not seen yet."""
+        missing = [cell for cell in dict.fromkeys(cells)
+                   if (config, *cell) not in self._cells]
+        if missing:
+            filled = simulate_cells(config, missing, jobs=self.jobs,
+                                    cache_dir=self.cache_dir)
+            for workload_name, system_name in missing:
+                self._cells[(config, workload_name, system_name)] = (
+                    filled[workload_name][system_name], self.experiment)
+            self.filled[self.experiment] += len(missing)
+        fresh = set(missing)
+        matrix: Matrix = {}
+        for workload_name, system_name in cells:
+            result, source = self._cells[(config, workload_name,
+                                          system_name)]
+            if (workload_name, system_name) not in fresh:
+                self.reused.setdefault(
+                    self.experiment, collections.Counter())[source] += 1
+            matrix.setdefault(workload_name, {})[system_name] = result
+        return matrix
+
+
+_MEMO: contextvars.ContextVar[typing.Optional[CellMemo]] = (
+    contextvars.ContextVar("repro_cell_memo", default=None))
+
+
+@contextlib.contextmanager
+def shared_cells(jobs: int = 1,
+                 cache_dir: typing.Union[str, "os.PathLike[str]",
+                                         None] = None,
+                 ) -> typing.Iterator[CellMemo]:
+    """Open a :class:`CellMemo` for the extent of one invocation."""
+    memo = CellMemo(jobs, cache_dir)
+    token = _MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _MEMO.reset(token)
 
 
 def format_table(headers: typing.Sequence[str],

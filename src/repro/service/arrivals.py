@@ -116,19 +116,15 @@ def tenant_times(config: ServiceConfig,
         burst_rate = quiet_rate * factor
         windows = _burst_windows(config, tenant)
         accept = quiet_rate / burst_rate
-
-        def in_burst(time: float) -> bool:
-            for start, end in windows:
-                if start <= time < end:
-                    return True
-                if start > time:
-                    return False
-            return False
-
+        # Candidates and windows are both in time order, so the first
+        # window not yet over only ever moves forward.
+        cursor = 0
         times = []
         for index, time in enumerate(
                 _candidate_times(config, tenant, burst_rate)):
-            if in_burst(time):
+            while cursor < len(windows) and windows[cursor][1] <= time:
+                cursor += 1
+            if cursor < len(windows) and windows[cursor][0] <= time:
                 times.append(time)
             elif _draw(config.seed, "mmpp_thin", tenant, index) < accept:
                 times.append(time)

@@ -494,5 +494,9 @@ class ServiceFrontend:
         retries = sum(stats.retries for stats in result.tenants)
         if retries:
             metrics.counter("service.retries").add(float(retries))
+        # Each frontend (one per load point of a sweep) attaches its
+        # class sketches under its own namespace; the first keeps the
+        # bare ``service.sketch`` path.
+        prefix = metrics.component_prefix("service.sketch")
         for name, cls_stats in result.class_stats().items():
-            metrics.attach(f"service.sketch.{name}", cls_stats.sketch)
+            metrics.attach(f"{prefix}.{name}", cls_stats.sketch)

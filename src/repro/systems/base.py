@@ -29,10 +29,21 @@ from repro.host import PcieLink
 from repro.sim import Breakdown, Simulator, TimeSeries
 from repro.workloads.trace import TraceBundle
 
-#: Deterministic content pattern for input preloading.
+#: One period of the deterministic input-preload pattern: byte ``k`` is
+#: ``(k * 31 + 7) % 251 + 1``, so the byte at address ``a`` is
+#: ``_PATTERN_PERIOD[a % 251]``.
+_PATTERN_PERIOD = bytes((k * 31 + 7) % 251 + 1 for k in range(251))
+
+
 def input_pattern(address: int, size: int) -> bytes:
-    """Reproducible non-zero input bytes for a region."""
-    return bytes(((address + i) * 31 + 7) % 251 + 1 for i in range(size))
+    """Reproducible non-zero input bytes for a region.
+
+    Byte ``i`` is ``((address + i) * 31 + 7) % 251 + 1``, cut from
+    repeats of the 251-byte period rather than computed per byte.
+    """
+    start = address % len(_PATTERN_PERIOD)
+    repeats = -(-(start + size) // len(_PATTERN_PERIOD))
+    return (_PATTERN_PERIOD * repeats)[start:start + size]
 
 
 @dataclasses.dataclass(frozen=True)

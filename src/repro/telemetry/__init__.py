@@ -118,6 +118,7 @@ from repro.telemetry.hostprof import (  # noqa: E402
     HostProfiler,
     classify_event,
     collapsed_stacks,
+    load_hostprof,
     load_speedscope,
     parse_collapsed,
     render_flame,
@@ -184,6 +185,7 @@ __all__ = [
     "export_document",
     "littles_law",
     "load_bench",
+    "load_hostprof",
     "load_spanlog",
     "load_speedscope",
     "load_timeseries",

@@ -19,8 +19,9 @@ time-series document (``--timeseries`` on the experiments CLI) as
 terminal sparklines plus a latency-sketch quantile table; invalid
 documents exit 1.
 
-``python -m repro.telemetry flame PROFILE.json`` renders a speedscope
-host-profile export (``--hostprof`` on the experiments CLI) as a
+``python -m repro.telemetry flame PROFILE`` renders a host-profile
+export (``--hostprof`` on the experiments CLI: speedscope JSON, or
+collapsed stacks when the name ends in ``.collapsed``/``.txt``) as a
 terminal top-N bucket view; the document is schema-validated first,
 so CI can use this as the flamegraph artifact's validity gate.
 
@@ -50,7 +51,7 @@ from repro.telemetry.bench import (
 )
 from repro.telemetry.export import load_spanlog, validate_perfetto
 from repro.telemetry.hostprof import (
-    load_speedscope,
+    load_hostprof,
     render_flame,
     validate_speedscope,
 )
@@ -124,9 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "dumb/non-UTF-8 terminals)")
     flame = sub.add_parser(
         "flame",
-        help="render a speedscope host profile as a terminal top-N view")
+        help="render a --hostprof export as a terminal top-N view")
     flame.add_argument("profile",
-                       help="speedscope JSON from --hostprof")
+                       help="--hostprof export: speedscope JSON, or "
+                            "collapsed stacks (.collapsed/.txt)")
     flame.add_argument("--top", type=int, default=20,
                        help="number of buckets to show (default 20)")
     flame.add_argument("--width", type=int, default=40,
@@ -164,9 +166,9 @@ def _run_watch(args: argparse.Namespace) -> int:
 
 def _run_flame(args: argparse.Namespace) -> int:
     try:
-        document = load_speedscope(args.profile)
+        document = load_hostprof(args.profile)
     except (OSError, json.JSONDecodeError, ValueError) as error:
-        print(f"unreadable speedscope profile: {error}", file=sys.stderr)
+        print(f"unreadable host profile: {error}", file=sys.stderr)
         return 1
     problems = validate_speedscope(document)
     if problems:

@@ -212,15 +212,20 @@ def merge_tracer(target: RecordingTracer,
     Worker ids are contiguous from 1 across spans *and* instants (they
     share one counter), so shifting every id by the target's consumed
     count reproduces the id stream a serial run would have assigned —
-    including the span/instant interleaving.
+    including the span/instant interleaving.  Spans land under the
+    target's open scope, as they would have had the cell run here.
     """
     base = len(target.spans) + len(target.instants)
-    for span in fragment.spans:
-        target.spans.append(dataclasses.replace(
-            span, span_id=base + span.span_id))
-    for instant in fragment.instants:
-        target.instants.append(dataclasses.replace(
-            instant, span_id=base + instant.span_id))
+    outer = target._current_scope()
+
+    def place(span: Span) -> Span:
+        scope = "/".join(part for part in (outer, span.scope) if part)
+        return dataclasses.replace(span, span_id=base + span.span_id,
+                                   scope=scope)
+
+    target.spans.extend(place(span) for span in fragment.spans)
+    target.instants.extend(place(instant)
+                           for instant in fragment.instants)
     target.commands.extend(fragment.commands)
     target.kernel_events.extend(fragment.kernel_events)
     # Re-seat the target's counter past the ids just claimed.

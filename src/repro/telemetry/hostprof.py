@@ -340,6 +340,11 @@ def speedscope_document(profiler: HostProfiler,
     left-heavy and sandwich views read directly as the attribution
     hierarchy.
     """
+    return _speedscope_from_buckets(profiler.buckets, name)
+
+
+def _speedscope_from_buckets(buckets: typing.Mapping[BucketKey, int],
+                             name: str) -> typing.Dict[str, typing.Any]:
     frames: typing.List[typing.Dict[str, str]] = []
     frame_index: typing.Dict[str, int] = {}
 
@@ -351,7 +356,7 @@ def speedscope_document(profiler: HostProfiler,
 
     samples: typing.List[typing.List[int]] = []
     weights: typing.List[int] = []
-    for key, ns in sorted(profiler.buckets.items()):
+    for key, ns in sorted(buckets.items()):
         if ns <= 0:
             continue
         samples.append([frame(label) for label in key])
@@ -454,15 +459,33 @@ def load_speedscope(path: str) -> typing.Dict[str, typing.Any]:
     return loaded
 
 
+#: Path suffixes :func:`write_hostprof` exports as collapsed stacks.
+COLLAPSED_SUFFIXES = (".collapsed", ".txt")
+
+
 def write_hostprof(profiler: HostProfiler, path: str,
                    name: str = "repro hostprof") -> str:
     """Suffix-dispatched export: collapsed stacks for ``.collapsed`` /
     ``.txt`` paths, speedscope JSON otherwise.  Returns the format."""
-    if path.endswith((".collapsed", ".txt")):
+    if path.endswith(COLLAPSED_SUFFIXES):
         write_collapsed(profiler, path)
         return "collapsed"
     write_speedscope(profiler, path, name)
     return "speedscope"
+
+
+def load_hostprof(path: str) -> typing.Dict[str, typing.Any]:
+    """Read either :func:`write_hostprof` export as a speedscope document.
+
+    The suffix picks the reader, as it picked the writer: collapsed
+    stacks are parsed and re-expressed as the same speedscope document
+    the JSON export would have held.
+    """
+    if path.endswith(COLLAPSED_SUFFIXES):
+        with open(path, encoding="utf-8") as handle:
+            return _speedscope_from_buckets(parse_collapsed(handle),
+                                            "repro hostprof")
+    return load_speedscope(path)
 
 
 # ----------------------------------------------------------------------

@@ -136,6 +136,14 @@ class TestTelemetryFlags:
         assert "sched.interleave.overlap_ns" in out
         assert "phase_skip" in out
 
+    def test_metrics_with_several_service_frontends(self, capsys):
+        # Each load point of the sweep attaches its class sketches
+        # under its own namespace instead of colliding in one registry.
+        assert cli.main(["overload", "--quick", "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "service.sketch.premium.count" in out
+        assert "service.sketch#2.premium.count" in out
+
     def test_untraced_run_leaves_no_ambient_telemetry(self):
         from repro.telemetry import current_metrics, current_tracer
         cli.main(["run", "fig12"])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.controller.request import Op
 from repro.service import ServiceConfig, merged_timeline, tenant_arrivals
+from repro.service import arrivals
 from repro.service.arrivals import tenant_times
 
 BASE = ServiceConfig(seed=11, tenants=3, rate_rps=2e6,
@@ -98,3 +99,45 @@ class TestStreamShape:
     def test_merged_order_is_total(self):
         keys = [(a.time, a.tenant) for a in merged_timeline(BASE)]
         assert len(keys) == len(set(keys))
+
+
+def _scanning_tenant_times(config, tenant):
+    """MMPP thinning with a full burst-window scan per candidate.
+
+    The straightforward form of the rule the forward cursor in
+    ``tenant_times`` implements; other processes delegate unchanged.
+    """
+    if config.arrival != "mmpp":
+        return tenant_times(config, tenant)
+    rate = config.tenant_rate_per_ns(tenant)
+    fraction = config.burst_fraction
+    quiet_rate = rate / ((1.0 - fraction)
+                         + fraction * config.burst_factor)
+    burst_rate = quiet_rate * config.burst_factor
+    windows = arrivals._burst_windows(config, tenant)
+    times = []
+    for index, time in enumerate(
+            arrivals._candidate_times(config, tenant, burst_rate)):
+        if any(start <= time < end for start, end in windows):
+            times.append(time)
+        elif (arrivals._draw(config.seed, "mmpp_thin", tenant, index)
+              < quiet_rate / burst_rate):
+            times.append(time)
+    return times
+
+
+class TestBurstCursor:
+    """The forward cursor over burst windows changes no arrival."""
+
+    @pytest.mark.parametrize("arrival", ["poisson", "mmpp", "diurnal"])
+    @pytest.mark.parametrize("seed", [1, 7, 11, 1009])
+    def test_timeline_matches_window_scan(self, arrival, seed,
+                                          monkeypatch):
+        config = dataclasses.replace(
+            BASE, seed=seed, arrival=arrival, tenants=4,
+            rogue_tenants=1, burst_ns=5_000.0)
+        timeline = merged_timeline(config)
+        monkeypatch.setattr(arrivals, "tenant_times",
+                            _scanning_tenant_times)
+        assert timeline == merged_timeline(config)
+        assert timeline

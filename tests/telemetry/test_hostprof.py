@@ -27,6 +27,7 @@ from repro.telemetry.hostprof import (
     HostProfiler,
     classify_event,
     collapsed_stacks,
+    load_hostprof,
     load_speedscope,
     parse_collapsed,
     render_flame,
@@ -366,6 +367,37 @@ class TestTelemetryCli:
         assert telemetry_main(["flame", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "$schema" in err
+
+    def test_flame_reads_collapsed_export(self, tmp_path, capsys):
+        # Whatever --hostprof writes, `flame` reads: the collapsed
+        # export renders exactly as the speedscope one does.
+        profiler = HostProfiler(clock=_stub_clock())
+        _drive(profiler)
+        collapsed = tmp_path / "profile.collapsed"
+        speedscope = tmp_path / "profile.json"
+        assert write_hostprof(profiler, str(collapsed)) == "collapsed"
+        assert write_hostprof(profiler, str(speedscope)) == "speedscope"
+        document = load_hostprof(str(collapsed))
+        assert document == load_hostprof(str(speedscope))
+        assert validate_speedscope(document) == []
+        assert telemetry_main(["flame", str(collapsed), "--ascii"]) == 0
+        from_collapsed = capsys.readouterr().out
+        assert telemetry_main(["flame", str(speedscope), "--ascii"]) == 0
+        assert from_collapsed == capsys.readouterr().out
+        assert "kernel;-;drain;-" in from_collapsed
+
+    def test_flame_after_hostprof_collapsed_run(self, tmp_path, capsys):
+        out = tmp_path / "fig12.collapsed"
+        assert cli.main(["fig12", "--quick", "--hostprof", str(out)]) == 0
+        capsys.readouterr()
+        assert telemetry_main(["flame", str(out), "--top", "3"]) == 0
+        assert "hostprof:" in capsys.readouterr().out
+
+    def test_flame_rejects_malformed_collapsed(self, tmp_path, capsys):
+        bad = tmp_path / "bad.collapsed"
+        bad.write_text("not a stack line\n")
+        assert telemetry_main(["flame", str(bad)]) == 1
+        assert "unreadable host profile" in capsys.readouterr().err
 
     def test_flame_ascii_flag(self, tmp_path, capsys):
         path = self._profile(tmp_path)
