@@ -23,7 +23,6 @@ from repro.controller import MemoryRequest, Op, PramSubsystem
 from repro.controller.request import RequestStatus
 from repro.pram.errors import PramError
 from repro.sim import Simulator
-from repro.sim.compiled import BackendDecision, record_decision
 
 #: Acceptance bound: current submit / seed-replica submit runtime.
 MAX_OVERHEAD = 1.05
@@ -41,12 +40,6 @@ def _seed_submit(self, request: MemoryRequest) -> typing.Generator:
     the service layer needed it live) and the ``fault_permanent`` flag
     is never set.
     """
-    if self._backend_note_pending:
-        self._backend_note_pending = False
-        record_decision(BackendDecision(
-            "compiled", "interpreted",
-            ("per-request submit() path (the compiled kernel "
-             "batches through run_stream)",)))
     request.submit_time = self.sim.now
     if self._metrics_on:
         self._inflight += 1

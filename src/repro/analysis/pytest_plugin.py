@@ -12,8 +12,8 @@ Registered from the repository-root ``conftest.py``.  Provides:
   again under seeded random permutations of every same-timestamp event
   batch (``tiebreak_shuffle(runs=N, seed=S)``; default 3 runs).  A
   test that passes under FIFO order but fails under a shuffle depends
-  on the kernel tie-break — exactly the dependence the compiled/
-  parallel backends are not allowed to see.  Like ``determinism``,
+  on the kernel tie-break — exactly the dependence the sharded
+  parallel runner is not allowed to see.  Like ``determinism``,
   the body must build its own simulator.
 * ``protocol_monitor`` fixture — a recording
   :class:`~repro.analysis.conformance.ProtocolChecker` that fails the

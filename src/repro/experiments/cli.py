@@ -49,7 +49,6 @@ import typing
 
 from repro.controller.request import reset_request_ids
 from repro.experiments import parallel, runner
-from repro.sim import BACKENDS, use_backend
 from repro.sim.hostprof import use_hostprof
 from repro.telemetry import (
     DEFAULT_WINDOW_NS,
@@ -151,13 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="trace seed (default 1)")
     run_parser.add_argument("--quick", action="store_true",
                             help="tiny two-workload configuration")
-    run_parser.add_argument("--backend", choices=list(BACKENDS),
-                            default="interpreted",
-                            help="execution backend: 'compiled' runs "
-                                 "eligible request streams through the "
-                                 "flat-loop kernel (byte-identical "
-                                 "results, recorded fallbacks); default "
-                                 "'interpreted'")
     run_parser.add_argument("--faults", metavar="PLAN", default=None,
                             help="seeded fault-injection plan as "
                                  "key=value,... (e.g. 'seed=7,"
@@ -232,16 +224,14 @@ def normalize_argv(
 
 def config_from_args(args: argparse.Namespace) -> runner.ExperimentConfig:
     """Translate CLI flags into an ExperimentConfig."""
-    backend = getattr(args, "backend", "interpreted")
     service = getattr(args, "service", None)
     if args.quick:
         return runner.ExperimentConfig(
             scale=0.05, seed=args.seed, agents=3,
             workloads=("gemver", "doitg"), faults=args.faults,
-            backend=backend, service=service)
+            service=service)
     return runner.ExperimentConfig(scale=args.scale, seed=args.seed,
-                                   faults=args.faults, backend=backend,
-                                   service=service)
+                                   faults=args.faults, service=service)
 
 
 #: Experiments whose simulation work is execution-matrix cells
@@ -285,7 +275,6 @@ def _run_here(name: str, config: runner.ExperimentConfig,
         if telemetry is not None:
             stack.enter_context(telemetry.activate())
             stack.enter_context(telemetry.tracer.scope(name))
-        stack.enter_context(use_backend(config.backend))
         return typing.cast(str, run_fn(config))
 
 
@@ -322,23 +311,21 @@ def _run_sharded(chosen: typing.List[str],
     return reports
 
 
-def _profile_text(profile: typing.Any, memo: runner.CellMemo) -> str:
-    """``--profile`` output for one experiment, naming reused cells.
+def _reuse_note(name: str, memo: runner.CellMemo) -> str:
+    """The line naming the matrix cells ``name`` reused, or ``""``.
 
     Reused cells recorded their spans in the experiment that simulated
-    them, so an experiment whose cells were all reused gets one line
-    pointing there instead of an empty attribution table.
+    them, so the profile points there instead of attributing them.
     """
-    reused = memo.reused.get(profile.name)
+    reused = memo.reused.get(name)
     if not reused:
-        return render_text(profile)
+        return ""
     count = sum(reused.values())
     sources = ", ".join(reused)
-    if not memo.filled[profile.name]:
-        return (f"profile: {profile.name}: all {count} matrix cells "
-                f"reused from {sources} (profiled there)")
-    return (f"{render_text(profile)}\n  {count} matrix cell(s) reused "
-            f"from {sources} (profiled there)")
+    if not memo.filled[name]:
+        return (f"all {count} matrix cells reused from {sources} "
+                f"(profiled there)")
+    return f"{count} matrix cell(s) reused from {sources} (profiled there)"
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
@@ -433,9 +420,11 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         if args.timeseries:
             telemetry.write_timeseries(args.timeseries)
             print(f"time series written to {args.timeseries}")
+        for profile in profiles:
+            profile.reuse_note = _reuse_note(profile.name, memo)
         if args.profile:
             for profile in profiles:
-                print(_profile_text(profile, memo))
+                print(render_text(profile))
                 print()
         if args.report:
             timeseries_doc = (telemetry.timeseries_document()

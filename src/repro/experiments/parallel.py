@@ -42,7 +42,6 @@ import typing
 
 from repro.controller.request import reset_request_ids
 from repro.experiments import runner
-from repro.sim.compiled import use_backend
 from repro.sim.hostprof import current_hostprof, use_hostprof
 from repro.sim.sampling import current_sampling, use_sampling
 from repro.systems import build_system
@@ -267,9 +266,7 @@ def _run_matrix_cell(config: runner.ExperimentConfig, workload: str,
     with _fresh_telemetry(capture) as (registry, tracer, profiler):
         reset_request_ids()
         bundle = config.bundle(workload)
-        with use_backend(config.backend):
-            result = build_system(system,
-                                  config.system_config()).run(bundle)
+        result = build_system(system, config.system_config()).run(bundle)
     return _finish_cell(result, registry, tracer, profiler)
 
 
@@ -285,12 +282,11 @@ def _run_experiment_cell(name: str, config: runner.ExperimentConfig,
     _, run_fn = EXPERIMENTS[name]
     with _fresh_telemetry(capture) as (registry, tracer, profiler):
         reset_request_ids()
-        with use_backend(config.backend):
-            if tracer is not None:
-                with tracer.scope(name):
-                    report = run_fn(config)
-            else:
+        if tracer is not None:
+            with tracer.scope(name):
                 report = run_fn(config)
+        else:
+            report = run_fn(config)
     return _finish_cell(report, registry, tracer, profiler)
 
 

@@ -17,7 +17,6 @@ import typing
 
 from repro.accel import AcceleratorConfig
 from repro.controller.request import reset_request_ids
-from repro.sim import use_backend
 from repro.systems import SystemConfig, build_system
 from repro.systems.base import ExecutionResult
 from repro.workloads import all_workloads, generate_traces, workload
@@ -52,12 +51,6 @@ class ExperimentConfig:
     #: fault-free.  Kept as the raw string so the config stays
     #: trivially hashable for the parallel runner's cache key.
     faults: typing.Optional[str] = None
-    #: Execution backend every cell runs under ("interpreted" or
-    #: "compiled").  Part of the config, so it enters the parallel
-    #: runner's content-addressed cache key: a compiled rerun never
-    #: replays an interpreted entry (and vice versa), even though the
-    #: two are byte-identical by contract.
-    backend: str = "interpreted"
     #: Optional ``--service`` plan spec (``key=value,...``); None lets
     #: the service experiments use their built-in default plan.  Kept
     #: as the raw string (like ``faults``) so the config stays
@@ -175,17 +168,16 @@ def simulate_cells(config: ExperimentConfig,
     system_config = config.system_config()
     matrix: Matrix = {}
     bundle_name = None
-    with use_backend(config.backend):
-        for workload_name, system_name in cells:
-            if workload_name != bundle_name:
-                bundle = config.bundle(workload_name)
-                bundle_name = workload_name
-            # Cell-local request numbering: parallel workers reset at
-            # the same boundary, so span ``req`` tags match exactly.
-            reset_request_ids()
-            system = build_system(system_name, system_config)
-            matrix.setdefault(workload_name, {})[system_name] = (
-                system.run(bundle))
+    for workload_name, system_name in cells:
+        if workload_name != bundle_name:
+            bundle = config.bundle(workload_name)
+            bundle_name = workload_name
+        # Cell-local request numbering: parallel workers reset at the
+        # same boundary, so span ``req`` tags match exactly.
+        reset_request_ids()
+        system = build_system(system_name, system_config)
+        matrix.setdefault(workload_name, {})[system_name] = (
+            system.run(bundle))
     return matrix
 
 

@@ -7,10 +7,9 @@ counter increments per schedule, so **events that land on the same
 simulated instant drain in FIFO schedule order**, and events scheduled
 *by a callback at the current instant* sort after everything already
 queued for that instant.  This FIFO tie-break is a documented, asserted
-invariant (see :meth:`Simulator.run`): the batched same-timestamp drain,
-the sharded parallel merge, and any future compiled/batched kernel all
-reproduce results byte-for-byte only because equal-timestamp ordering
-is deterministic.  :mod:`repro.analysis.racecheck` certifies which
+invariant (see :meth:`Simulator.run`): the batched same-timestamp drain
+and the sharded parallel merge reproduce results byte-for-byte only
+because equal-timestamp ordering is deterministic.  :mod:`repro.analysis.racecheck` certifies which
 workloads are *independent* of that ordering (and would therefore
 survive a kernel that reorders within an instant); the seeded
 ``tiebreak_seed`` debug mode below is the mechanism it uses.
@@ -241,26 +240,6 @@ class Simulator:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
         return self._heap[0][0] if self._heap else float("inf")
 
-    def fast_forward(self, now: float) -> None:
-        """Advance the clock to ``now`` without processing any events.
-
-        The compiled backend (:mod:`repro.sim.compiled`) computes a
-        request batch's completion times arithmetically and then moves
-        the clock here, so interleaved interpreted phases (a later
-        ``run()``) resume from the same instant they would have reached
-        event by event.  Refuses to skip pending events or rewind:
-        both would silently desynchronize the two backends.
-        """
-        if self._heap:
-            raise RuntimeError(
-                f"fast_forward({now}) with {len(self._heap)} events "
-                "still pending — drain them with run() first")
-        if math.isnan(now) or now < self._now:
-            raise ValueError(
-                f"cannot fast-forward to {now} ns: clock already at "
-                f"{self._now} ns")
-        self._now = now
-
     def _event_label(self, event: Event) -> str:
         """Human-readable label for a processed event.
 
@@ -307,8 +286,7 @@ class Simulator:
         events are processed in schedule (counter) order — the batched
         drain below asserts it per batch.  Everything downstream that
         promises byte-identical results (serial-vs-sharded merge, the
-        result cache, determinism-marked tests, the future compiled
-        kernel) inherits this invariant; ``tiebreak_seed`` is the one
+        result cache, determinism-marked tests) inherits this invariant; ``tiebreak_seed`` is the one
         sanctioned way to deviate from it, and exists precisely so
         :mod:`repro.analysis.racecheck` can measure which workloads
         depend on it.

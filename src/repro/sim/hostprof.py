@@ -28,8 +28,8 @@ The contract mirrors the sampling ambient:
     can attribute the event to the process that was resumed) and the
     ``[start, end)`` host-clock segment the callbacks occupied.
   - :meth:`HostProfilerHook.on_batch` fires once per same-timestamp
-    batch with the batch size (the census the batched fast drain — and
-    any future compiled kernel — must reproduce).
+    batch with the batch size (the census the batched fast drain must
+    reproduce).
   - :meth:`HostProfilerHook.on_schedule` fires per admitted
     ``_schedule`` call (the schedule census); it is swapped in as an
     instance attribute like the sanitized variant, so the

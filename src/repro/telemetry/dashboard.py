@@ -34,6 +34,16 @@ class ExperimentProfile:
     invariant_problems: typing.List[str]
     latency_quantiles: typing.Dict[str, float] = \
         dataclasses.field(default_factory=dict)
+    #: Names the execution-matrix cells this experiment reused from an
+    #: earlier one in the same invocation; their spans were recorded
+    #: there, so an experiment that captured nothing of its own renders
+    #: as this one line instead of empty tables.
+    reuse_note: str = ""
+
+    @property
+    def empty(self) -> bool:
+        """True when the capture holds no requests and no busy tracks."""
+        return not self.summary.request_count and not self.utilization
 
     @property
     def hidden_fraction(self) -> float:
@@ -79,6 +89,8 @@ def render_text(profile: ExperimentProfile,
                 max_tracks: int = 12) -> str:
     """Terminal rendering of one experiment profile."""
     count = profile.summary.request_count
+    if profile.reuse_note and profile.empty:
+        return f"profile: {profile.name}: {profile.reuse_note}"
     mean_latency = (_fmt_ns(profile.summary.total_latency_ns / count)
                     if count else "-")
     lines = [f"profile: {profile.name}",
@@ -127,6 +139,8 @@ def render_text(profile: ExperimentProfile,
                      f"(overlap credited "
                      f"{_fmt_ns(profile.summary.overlap_total_ns)}, "
                      f"{profile.hidden_fraction:.1%} of latency hidden)")
+    if profile.reuse_note:
+        lines.append(f"  {profile.reuse_note}")
     return "\n".join(lines)
 
 
@@ -305,6 +319,12 @@ def render_html(profiles: typing.Sequence[ExperimentProfile],
     sections = []
     for profile in profiles:
         summary = profile.summary
+        note = (f"<p class='meta'>{html.escape(profile.reuse_note)}</p>"
+                if profile.reuse_note else "")
+        if note and profile.empty:
+            sections.append(f"\n<h2>{html.escape(profile.name)}</h2>\n"
+                            f"{note}\n")
+            continue
         mean_latency = (summary.total_latency_ns / summary.request_count
                         if summary.request_count else 0.0)
         if profile.invariant_problems:
@@ -333,7 +353,7 @@ def render_html(profiles: typing.Sequence[ExperimentProfile],
 <p class='meta'>window {_fmt_ns(profile.window_ns)} ·
 {summary.request_count} requests · mean latency
 {_fmt_ns(mean_latency)}{_quantile_meta(profile)}</p>
-{invariant}
+{note}{invariant}
 <h3>latency attribution</h3>
 <table><tr><th>segment</th><th>mean/request</th><th>share</th>
 <th></th></tr>{_segment_rows(profile)}</table>

@@ -320,3 +320,48 @@ class TestStatistics:
     def test_boot_latency_positive(self):
         _, subsystem = make_subsystem()
         assert subsystem.boot_latency_ns > 0
+
+
+class TestRunStream:
+    #: Clock value the stream starts at, away from zero so the tests
+    #: see the call instant rather than the simulator's origin.
+    START_NS = 500.0
+
+    def started_subsystem(self):
+        sim, subsystem = make_subsystem()
+        sim.run(until=self.START_NS)
+        return sim, subsystem
+
+    def test_open_mode_submits_every_request_at_the_call_instant(self):
+        sim, subsystem = self.started_subsystem()
+        requests = partition_strided_reads(6)
+        subsystem.run_stream(requests, mode="open")
+        assert [r.submit_time for r in requests] == [self.START_NS] * 6
+        assert subsystem.requests_completed == 6
+
+    def test_closed_mode_keeps_one_request_in_flight(self):
+        sim, subsystem = self.started_subsystem()
+        requests = partition_strided_reads(6)
+        subsystem.run_stream(requests, mode="closed")
+        assert requests[0].submit_time == self.START_NS
+        for previous, current in zip(requests, requests[1:]):
+            assert current.submit_time == previous.complete_time
+
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_clock_ends_at_the_last_completion(self, mode):
+        sim, subsystem = self.started_subsystem()
+        requests = partition_strided_reads(4) + sequential_reads(4)
+        subsystem.run_stream(requests, mode=mode)
+        assert sim.now == max(r.complete_time for r in requests)
+        assert sim.now > self.START_NS
+
+    def test_empty_batch_leaves_the_clock_unchanged(self):
+        sim, subsystem = self.started_subsystem()
+        subsystem.run_stream([], mode="closed")
+        assert sim.now == self.START_NS
+        assert subsystem.requests_completed == 0
+
+    def test_unknown_mode_rejected(self):
+        _, subsystem = make_subsystem()
+        with pytest.raises(ValueError, match="bogus"):
+            subsystem.run_stream(sequential_reads(1), mode="bogus")

@@ -1,7 +1,5 @@
 """CLI runner tests."""
 
-import pytest
-
 from repro.experiments import cli
 
 
@@ -28,25 +26,6 @@ class TestParser:
         config = cli.config_from_args(args)
         assert config.scale == 0.1
         assert config.seed == 9
-
-    def test_backend_flag(self):
-        args = cli.build_parser().parse_args(
-            ["run", "fig12", "--backend", "compiled"])
-        config = cli.config_from_args(args)
-        assert config.backend == "compiled"
-        # Quick configs carry the knob too.
-        args = cli.build_parser().parse_args(
-            ["run", "fig12", "--quick", "--backend", "compiled"])
-        assert cli.config_from_args(args).backend == "compiled"
-
-    def test_backend_defaults_to_interpreted(self):
-        args = cli.build_parser().parse_args(["run", "fig12"])
-        assert cli.config_from_args(args).backend == "interpreted"
-
-    def test_backend_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(
-                ["run", "fig12", "--backend", "jit"])
 
     def test_telemetry_flags(self):
         args = cli.build_parser().parse_args(

@@ -77,6 +77,22 @@ class TestSerialInvocation:
         assert (f"{len(runner.QUICK.workloads)} matrix cell(s) reused "
                 f"from fig15 (profiled there)") in out
 
+    def test_report_shows_the_reuse_line_not_empty_tables(self, tmp_path,
+                                                          capsys):
+        report = tmp_path / "profile.html"
+        _stdout(capsys, ["fig15,fig16,fig01", "--quick",
+                         "--report", str(report)])
+        page = report.read_text(encoding="utf-8")
+        fig16 = page[page.index("<h2>fig16</h2>"):page.index("<h2>fig01</h2>")]
+        assert (f"all {QUICK_CELLS} matrix cells reused from fig15 "
+                f"(profiled there)") in fig16
+        assert "<table" not in fig16
+        assert "0 requests" not in fig16
+        fig01 = page[page.index("<h2>fig01</h2>"):]
+        assert (f"{len(runner.QUICK.workloads)} matrix cell(s) reused "
+                f"from fig15 (profiled there)") in fig01
+        assert "<table" in fig01
+
 
 class TestOutsideAnInvocation:
     def test_run_matrix_simulates_every_call(self, cell_runs):
