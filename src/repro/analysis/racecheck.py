@@ -60,6 +60,7 @@ import re
 import sys
 import typing
 
+from repro.sim.hooks import Callbacks, event_label
 from repro.sim.sanitizer import KernelSanitizer, use_sanitizer, use_tiebreak
 from repro.telemetry.bench import record_attestation
 
@@ -187,10 +188,11 @@ class RaceSanitizer(KernelSanitizer):
     # ------------------------------------------------------------------
     # Kernel hooks
     # ------------------------------------------------------------------
-    def begin_task(self, event: "Event", ts_ns: float, label: str) -> None:
+    def before_event(self, event: "Event", callbacks: Callbacks) -> None:
         parent, kind = self._event_parent.pop(id(event), (0, "schedule"))
         task_id = len(self._tasks)
-        self._tasks.append(_TaskInfo(task_id, parent, ts_ns, label, kind))
+        self._tasks.append(_TaskInfo(task_id, parent, event.sim.now,
+                                     event_label(event, callbacks), kind))
         self._current = task_id
 
     def on_schedule(self, event: "Event") -> None:

@@ -11,20 +11,20 @@ The engine is a small, from-scratch, simpy-style coroutine kernel:
 * :class:`~repro.sim.resource.Resource`, :class:`~repro.sim.resource.Store`
   and :class:`~repro.sim.resource.Channel` model contended hardware
   (ports, buses, buffers).
+* :class:`~repro.sim.hooks.KernelHook` is the one seam every
+  instrument (sanitizer, sampler, host profiler, tracer) observes the
+  kernel through.
 * :mod:`~repro.sim.stats` collects counters, time-weighted series and
   category breakdowns used to regenerate the paper's figures.
 """
 
 from repro.sim.engine import Simulator
 from repro.sim.event import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.sim.hostprof import (
-    HostProfilerHook,
-    current_hostprof,
-    use_hostprof,
-)
+from repro.sim.hooks import KernelHook
+from repro.sim.hostprof import current_hostprof, use_hostprof
 from repro.sim.process import Process
 from repro.sim.resource import Channel, Resource, Store
-from repro.sim.sampling import SamplerHook, current_sampling, use_sampling
+from repro.sim.sampling import current_sampling, use_sampling
 from repro.sim.sanitizer import (
     KernelSanitizer,
     current_sanitizer,
@@ -50,14 +50,13 @@ __all__ = [
     "Counter",
     "Event",
     "Histogram",
-    "HostProfilerHook",
     "Interrupt",
+    "KernelHook",
     "KernelSanitizer",
     "LatencySketch",
     "Process",
     "QUANTILE_TARGETS",
     "Resource",
-    "SamplerHook",
     "Simulator",
     "SketchLayout",
     "Store",

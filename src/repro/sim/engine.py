@@ -24,9 +24,10 @@ import random
 import typing
 
 from repro.sim.event import AllOf, AnyOf, Event, Timeout
-from repro.sim.hostprof import HostProfilerHook, current_hostprof
+from repro.sim.hooks import Callbacks, KernelHook, event_label
+from repro.sim.hostprof import current_hostprof
 from repro.sim.process import Process
-from repro.sim.sampling import SamplerHook, current_sampling
+from repro.sim.sampling import WindowSampler, current_sampling
 from repro.sim.sanitizer import (
     KernelSanitizer,
     current_sanitizer,
@@ -64,26 +65,12 @@ class Simulator:
     """
 
     def __init__(self, tracer: Tracer | None = None,
-                 sanitizer: KernelSanitizer | None = None,
                  tiebreak_seed: int | None = None,
-                 sampler: SamplerHook | None = None,
-                 hostprof: HostProfilerHook | None = None) -> None:
+                 hooks: typing.Iterable[KernelHook] | None = None) -> None:
         self._now = 0.0
         self._heap: typing.List[HeapEntry] = []
         self._counter = itertools.count()
         self._active: Process | None = None
-        # Race-sanitizer hooks (repro.analysis.racecheck).  Explicit
-        # argument wins over the ambient slot; with neither, every
-        # guarded hook site sees None and the scheduling fast path is
-        # left untouched (no per-schedule guard at all — the sanitized
-        # variant is swapped in as an instance attribute only when a
-        # sanitizer is installed).
-        self._sanitizer: KernelSanitizer | None = (
-            sanitizer if sanitizer is not None else current_sanitizer())
-        self._sanitizing = self._sanitizer is not None
-        if self._sanitizing:
-            self._schedule = (  # type: ignore[method-assign]
-                self._schedule_sanitized)
         # Tie-break shuffle debug mode: with a seed, run() drains each
         # same-timestamp batch in a seeded random permutation instead
         # of FIFO order (the shuffle oracle's lever).  None = FIFO.
@@ -91,49 +78,34 @@ class Simulator:
                 else current_tiebreak_seed())
         self._tiebreak_rng = (random.Random(seed) if seed is not None
                               else None)
-        # Windowed time-series sampling (repro.telemetry.timeseries).
-        # Explicit hook wins; otherwise the ambient provider (if any)
-        # mints one per simulator.  Sampled runs drain through the
-        # per-event branch of run() — the batched fast drain stays
-        # untouched, so a disabled sampler costs nothing.
-        if sampler is None:
-            provider = current_sampling()
-            if provider is not None:
-                sampler = provider.create_sampler()
-        self.sampler: SamplerHook | None = sampler
-        self._sampling = sampler is not None
-        # Host wall-clock profiling (repro.telemetry.hostprof).  Explicit
-        # hook wins; otherwise the ambient provider (if any) supplies
-        # one.  Profiled runs drain through _run_profiled — the run()
-        # mode choice pays one extra elif, and the batched fast drain
-        # stays untouched, so a disabled profiler costs nothing per
-        # event.  The schedule-census variant of _schedule is swapped in
-        # as an instance attribute (same trick as the sanitizer) so the
-        # uninstrumented scheduling fast path keeps its guard-free body.
-        if hostprof is None:
-            hostprof_provider = current_hostprof()
-            if hostprof_provider is not None:
-                hostprof = hostprof_provider.create_hostprof()
-        self.hostprof: HostProfilerHook | None = hostprof
-        self._hostprofiling = hostprof is not None
-        if self._hostprofiling:
-            self._schedule = (  # type: ignore[method-assign]
-                self._schedule_profiled_sanitized if self._sanitizing
-                else self._schedule_profiled)
         # Explicit tracer and the ambient one (use_tracer) both observe
         # this kernel; with neither active this collapses to the null
-        # tracer and step() pays one attribute load.  Binding happens at
-        # construction so harnesses (determinism capture, experiment
-        # tracing) observe every simulator built inside their scope.
+        # tracer.  Binding happens at construction so harnesses
+        # (determinism capture, experiment tracing) observe every
+        # simulator built inside their scope.
         self.tracer: Tracer = combine(tracer, current_tracer())
-        # The tracer is bound for the simulator's lifetime, so run()
-        # branches once on this flag and unreached paths pay nothing:
-        # untraced drains skip label construction and span bookkeeping
-        # entirely.
-        self._tracing = self.tracer.enabled
-        # Kernel-event count for traced runs; counted only inside the
-        # tracer.enabled branch of step() so untraced runs pay nothing.
-        self.events_processed = 0
+        # Instruments (repro.sim.hooks): explicit hooks replace the
+        # ambient ones; an enabled tracer joins either set.  With no
+        # hook at all, run() keeps the batched fast drain and
+        # _schedule its guard-free class body.
+        resolved = list(hooks) if hooks is not None else _ambient_hooks()
+        if self.tracer.enabled:
+            resolved.insert(0, _TracerHook(self.tracer))
+        self._hooks: typing.Tuple[KernelHook, ...] = tuple(resolved)
+        # The sanitizer's causality callbacks (on_trigger, on_actor,
+        # Resource grants) sit on the hottest paths in event.py,
+        # process.py and resource.py, so they stay one guarded load of
+        # this slot rather than a hook loop.
+        self._sanitizer: KernelSanitizer | None = next(
+            (hook for hook in self._hooks
+             if isinstance(hook, KernelSanitizer)), None)
+        # The window sampler components register trackers with.
+        self.sampler: KernelHook | None = next(
+            (hook for hook in self._hooks
+             if isinstance(hook, WindowSampler)), None)
+        if self._hooks:
+            self._schedule = (  # type: ignore[method-assign]
+                self._schedule_hooked)
 
     @property
     def now(self) -> float:
@@ -204,76 +176,40 @@ class Simulator:
             f"cannot schedule {event!r}: negative delay {delay}"
         )
 
-    def _schedule_sanitized(self, delay: float, event: Event) -> None:
-        # Installed over _schedule (instance attribute) only when a
-        # sanitizer is bound, so the uninstrumented fast path keeps its
-        # guard-free body.  The happens-before edge (scheduling task ->
-        # event) is recorded only for successfully admitted delays.
+    def _schedule_hooked(self, delay: float, event: Event) -> None:
+        # Installed over _schedule (instance attribute) only when hooks
+        # are bound, so the uninstrumented fast path keeps its
+        # guard-free body.  Hooks see only admitted delays.
         Simulator._schedule(self, delay, event)
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.on_schedule(event)
-
-    def _schedule_profiled(self, delay: float, event: Event) -> None:
-        # Swapped in over _schedule only when a host profiler is bound:
-        # the schedule census (pushes per event kind) has to see the
-        # `_schedule` fast path too, and a permanent guard there would
-        # tax every uninstrumented run.
-        Simulator._schedule(self, delay, event)
-        hook = self.hostprof
-        if hook is not None:
-            hook.on_schedule(event)
-
-    def _schedule_profiled_sanitized(self, delay: float,
-                                     event: Event) -> None:
-        # Profiler + sanitizer both bound: keep the sanitizer's hook
-        # order (admit, then happens-before edge) and append the census.
-        Simulator._schedule(self, delay, event)
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.on_schedule(event)
-        hook = self.hostprof
-        if hook is not None:
+        for hook in self._hooks:
             hook.on_schedule(event)
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
         return self._heap[0][0] if self._heap else float("inf")
 
-    def _event_label(self, event: Event) -> str:
-        """Human-readable label for a processed event.
-
-        Named events keep their name.  Anonymous events (timeouts,
-        resource grants) are labeled ``ClassName:owner`` where the owner
-        is the process waiting on them — without this, traces degrade
-        to a wall of bare ``Timeout``/``Event`` entries.
-        """
-        if event.name:
-            return event.name
-        label = type(event).__name__
-        for callback in event.callbacks:
-            owner = getattr(callback, "__self__", None)
-            if isinstance(owner, Process) and owner.name:
-                return f"{label}:{owner.name}"
-        return label
-
     def step(self) -> None:
-        """Process exactly one event off the heap."""
+        """Process exactly one event off the heap.
+
+        Hooks see the dispatch (``before_event``/``after_event``) but
+        no instant or run boundary: ``step()`` is outside any drain.
+        """
         if not self._heap:
             raise RuntimeError("step() on an empty event heap")
         when, _, event = heapq.heappop(self._heap)
         self._now = when
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_task(event, when, self._event_label(event))
-        tracer = self.tracer
-        if tracer.enabled:
-            self.events_processed += 1
-            tracer.kernel_event(when, self._event_label(event))
+        self._dispatch_hooked(event)
+
+    def _dispatch_hooked(self, event: Event) -> None:
         callbacks, event.callbacks = event.callbacks, []
         event._processed = True
+        hooks = self._hooks
+        for hook in hooks:
+            hook.before_event(event, callbacks)
         for callback in callbacks:
             callback(event)
+        for hook in hooks:
+            hook.after_event(event, callbacks)
 
     def run(self, until: float | None = None) -> None:
         """Drain the event heap, optionally stopping at time ``until``.
@@ -282,12 +218,16 @@ class Simulator:
         even if no event lands on that instant, matching the convention
         of mainstream DES kernels.
 
+        Two drains: with no hook bound and no tie-break seed, the
+        batched fast drain below; otherwise :meth:`_run_hooked`.
+
         **FIFO tie-break invariant.**  Within one simulated instant,
-        events are processed in schedule (counter) order — the batched
-        drain below asserts it per batch.  Everything downstream that
-        promises byte-identical results (serial-vs-sharded merge, the
-        result cache, determinism-marked tests) inherits this invariant; ``tiebreak_seed`` is the one
-        sanctioned way to deviate from it, and exists precisely so
+        events are processed in schedule (counter) order — both drains
+        assert it per batch.  Everything downstream that promises
+        byte-identical results (serial-vs-sharded merge, the result
+        cache, determinism-marked tests) inherits this invariant;
+        ``tiebreak_seed`` is the one sanctioned way to deviate from
+        it, and exists precisely so
         :mod:`repro.analysis.racecheck` can measure which workloads
         depend on it.
         """
@@ -297,25 +237,8 @@ class Simulator:
             raise ValueError(
                 f"cannot run until {until} ns: clock already at {self._now} ns"
             )
-        sampler = self.sampler
-        if self._tiebreak_rng is not None:
-            # The shuffle oracle's debug drain wins over profiling:
-            # host timing under a randomized dispatch order is not
-            # attributable to anything reproducible.
-            self._run_shuffled(until)
-        elif self._hostprofiling:
-            self._run_profiled(until)
-        elif self._tracing or self._sanitizing or self._sampling:
-            while self._heap:
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    break
-                # Windows close *before* the events at `when` run, so a
-                # sample written at exactly a boundary instant belongs
-                # to the window that starts there.
-                if sampler is not None:
-                    sampler.advance(when)
-                self.step()
+        if self._hooks or self._tiebreak_rng is not None:
+            self._run_hooked(until)
         else:
             # Untraced fast drain: inline step() minus the tracer
             # branch, and batch same-timestamp events so the clock is
@@ -345,105 +268,78 @@ class Simulator:
                     for callback in callbacks:
                         callback(event)
         if until is not None:
-            # Close windows up to the stop time so a run that idles out
-            # to `until` still materializes its trailing windows.
-            if sampler is not None and until > self._now:
-                sampler.advance(until)
             self._now = max(self._now, until)
 
-    def _run_shuffled(self, until: float | None) -> None:
-        """Debug drain: seeded permutation of each same-instant batch.
+    def _run_hooked(self, until: float | None) -> None:
+        """Instrumented drain: the fast drain's batches, with hooks.
 
-        Collects every event already queued for the current instant,
-        shuffles the batch with the simulator's tie-break RNG, and
-        processes it.  Events a callback schedules *at the same
-        instant* form the next batch (shuffled separately), so
-        causality is preserved: nothing runs before the task that
-        scheduled it.  Each distinct seed explores one alternative
-        tie-break order; FIFO is the identity the shuffle oracle diffs
-        against.
+        Calls every hook in the order :mod:`repro.sim.hooks` documents.
+        Without a tie-break seed, each instant drains in FIFO schedule
+        order under the same assert as the fast drain, so an
+        instrumented run dispatches exactly what an uninstrumented one
+        does.  With a seed, the events already queued for the instant
+        are shuffled as one batch; events a callback schedules *at the
+        same instant* form the next batch (shuffled separately), so
+        nothing runs before the task that scheduled it.  Each distinct
+        seed explores one alternative tie-break order; FIFO is the
+        identity the shuffle oracle diffs against.
         """
+        hooks = self._hooks
         rng = self._tiebreak_rng
-        assert rng is not None
-        heap = self._heap
-        tracer = self.tracer if self._tracing else None
-        sanitizer = self._sanitizer
-        sampler = self.sampler
-        batch: typing.List[HeapEntry] = []
-        while heap:
-            when = heap[0][0]
-            if until is not None and when > until:
-                break
-            if sampler is not None:
-                sampler.advance(when)
-            self._now = when
-            del batch[:]
-            while heap and heap[0][0] == when:
-                batch.append(heapq.heappop(heap))
-            if len(batch) > 1:
-                rng.shuffle(batch)
-            for _, _, event in batch:
-                if sanitizer is not None:
-                    sanitizer.begin_task(event, when,
-                                         self._event_label(event))
-                if tracer is not None:
-                    self.events_processed += 1
-                    tracer.kernel_event(when, self._event_label(event))
-                callbacks, event.callbacks = event.callbacks, []
-                event._processed = True
-                for callback in callbacks:
-                    callback(event)
-
-    def _run_profiled(self, until: float | None) -> None:
-        """Host-profiled drain: batched like the fast drain, timed per
-        dispatch.
-
-        Composes with every other hook (tracer, sanitizer, sampler), so
-        a profiled run observes exactly what an unprofiled run would.
-        The hook's clock is read once before and once after each
-        event's callbacks; together with :meth:`HostProfilerHook.
-        begin_run`/``end_run`` the segments tile the drain's wall clock
-        — the gap between one dispatch's end and the next one's start
-        is the kernel's own heap work, so a collector that accounts the
-        gaps attributes ~100% of measured ``run()`` time.
-        """
-        hook = self.hostprof
-        assert hook is not None
-        clock = hook.clock
         heap = self._heap
         pop = heapq.heappop
-        tracer = self.tracer if self._tracing else None
-        sanitizer = self._sanitizer
-        sampler = self.sampler
-        hook.begin_run(clock())
+        dispatch = self._dispatch_hooked
+        for hook in hooks:
+            hook.on_run_start()
         while heap:
             when = heap[0][0]
             if until is not None and when > until:
                 break
-            if sampler is not None:
-                sampler.advance(when)
+            for hook in hooks:
+                hook.before_instant(when)
             self._now = when
-            batch_size = 0
-            last_seq = -1
-            while heap and heap[0][0] == when:
-                _, seq, event = pop(heap)
-                # Same FIFO tie-break regression guard as the batched
-                # fast drain: equal timestamps in schedule order.
-                assert seq > last_seq, (
-                    "same-timestamp drain broke FIFO schedule order")
-                last_seq = seq
-                batch_size += 1
-                if sanitizer is not None:
-                    sanitizer.begin_task(event, when,
-                                         self._event_label(event))
-                if tracer is not None:
-                    self.events_processed += 1
-                    tracer.kernel_event(when, self._event_label(event))
-                callbacks, event.callbacks = event.callbacks, []
-                event._processed = True
-                start = clock()
-                for callback in callbacks:
-                    callback(event)
-                hook.on_dispatch(event, callbacks, start, clock())
-            hook.on_batch(batch_size)
-        hook.end_run(clock())
+            if rng is None:
+                size = 0
+                last_seq = -1
+                while heap and heap[0][0] == when:
+                    _, seq, event = pop(heap)
+                    assert seq > last_seq, (
+                        "same-timestamp drain broke FIFO schedule order")
+                    last_seq = seq
+                    size += 1
+                    dispatch(event)
+            else:
+                batch = []
+                while heap and heap[0][0] == when:
+                    batch.append(pop(heap))
+                rng.shuffle(batch)
+                size = len(batch)
+                for _, _, event in batch:
+                    dispatch(event)
+            for hook in hooks:
+                hook.after_instant(size)
+        for hook in hooks:
+            hook.on_run_end(until)
+
+
+def _ambient_hooks() -> typing.List[KernelHook]:
+    """The instruments installed ambiently: sanitizer, sampler,
+    profiler (each provider may decline with ``None``)."""
+    sampling = current_sampling()
+    hostprof = current_hostprof()
+    candidates = (
+        current_sanitizer(),
+        sampling.create_sampler() if sampling is not None else None,
+        hostprof.create_hostprof() if hostprof is not None else None,
+    )
+    return [hook for hook in candidates if hook is not None]
+
+
+class _TracerHook(KernelHook):
+    """Adapts an enabled tracer: one ``kernel_event`` per dispatch."""
+
+    def __init__(self, tracer: Tracer) -> None:
+        self.tracer = tracer
+
+    def before_event(self, event: Event, callbacks: Callbacks) -> None:
+        self.tracer.kernel_event(event.sim.now, event_label(event, callbacks))

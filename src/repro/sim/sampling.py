@@ -1,23 +1,21 @@
-"""Ambient sampling hook for the simulation engine.
+"""Ambient sampling slot for the simulation engine.
 
 This module is the engine-side half of windowed time-series telemetry
 (the registry-facing half lives in :mod:`repro.telemetry.timeseries`).
-It deliberately imports **nothing from repro** — like
-:mod:`repro.sim.sanitizer`, it must be importable from the engine
-without creating a cycle with the telemetry layer.
+Like :mod:`repro.sim.sanitizer`, it imports nothing from the telemetry
+layer, so the engine can import it without creating a cycle.
 
 The contract mirrors the tracer/metrics ambients:
 
 * a *provider* (any object with ``create_sampler()``) is installed with
   :func:`use_sampling`; :func:`current_sampling` reads it back.
 * each :class:`~repro.sim.engine.Simulator` asks the provider for a
-  fresh :class:`SamplerHook` at construction.  A provider may return
-  ``None`` (e.g. when metrics are disabled), in which case the engine
-  keeps its untouched zero-overhead fast drain.
-* the engine calls :meth:`SamplerHook.advance` with each event
-  timestamp *before* dispatching the events at that instant, and once
-  more with the final ``until`` time, so the hook can close every
-  simulated-time window boundary it crossed.
+  fresh sampler at construction.  A provider may return ``None`` (e.g.
+  when metrics are disabled), in which case the engine keeps its
+  untouched zero-overhead fast drain.
+* the sampler is a :class:`~repro.sim.hooks.KernelHook`: it closes
+  window boundaries in ``before_instant`` (before the events at that
+  instant run) and in ``on_run_end`` (up to the ``until`` time).
 """
 from __future__ import annotations
 
@@ -25,26 +23,26 @@ import contextlib
 import contextvars
 import typing
 
+from repro.sim.hooks import KernelHook
 
-class SamplerHook:
-    """Duck-type base for engine-driven samplers.
 
-    Subclasses override :meth:`advance`; the base implementation is a
-    no-op so a bare hook is harmless.
+@typing.runtime_checkable
+class WindowSampler(typing.Protocol):
+    """The hook components register windowed trackers with.
+
+    :attr:`Simulator.sampler <repro.sim.engine.Simulator>` is the first
+    bound hook that has a ``track`` method.
     """
 
-    def advance(self, now: float) -> None:
-        """Simulated time has reached ``now``; close crossed windows.
-
-        Called before the events at ``now`` run, so samples written at
-        exactly a window boundary land in the *next* window.
-        """
+    def track(self, path: str) -> typing.Any:
+        """A level tracker whose per-window means land at ``path``."""
+        ...
 
 
 class SamplingProvider(typing.Protocol):
     """Anything that can mint per-simulator sampler hooks."""
 
-    def create_sampler(self) -> typing.Optional[SamplerHook]:
+    def create_sampler(self) -> typing.Optional[KernelHook]:
         """Return a fresh hook for one simulator, or ``None`` to opt out."""
         ...
 

@@ -8,13 +8,14 @@ this way to avoid a cycle).
 
 Two debug facilities share this module:
 
-* :class:`KernelSanitizer` — the observation interface.  The kernel,
-  events, processes and resources call these hooks *only when a
-  sanitizer is installed*; every call site is guarded by an
+* :class:`KernelSanitizer` — the observation interface: a
+  :class:`~repro.sim.hooks.KernelHook` (task boundaries and schedule
+  edges come through the kernel's one hook seam) plus five causality
+  callbacks that events, processes and resources call *only when a
+  sanitizer is installed*; each of those call sites is guarded by an
   ``is not None`` test on the simulator's resolved sanitizer, so an
-  uninstrumented run pays at most one attribute load per guarded site
-  (and nothing at all on the scheduling fast path, which is swapped in
-  wholesale at construction time).
+  uninstrumented run pays at most one attribute load per guarded
+  site.
 * The **tie-break shuffle seed** — an ambient knob that makes
   :meth:`repro.sim.engine.Simulator.run` drain same-timestamp events in
   a seeded random permutation instead of FIFO order.  The shuffle
@@ -34,24 +35,28 @@ import contextlib
 import contextvars
 import typing
 
+from repro.sim.hooks import KernelHook
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.event import Event
     from repro.sim.process import Process
     from repro.sim.resource import Request, Resource
 
 
-class KernelSanitizer:
+class KernelSanitizer(KernelHook):
     """Observation interface for kernel causality and task boundaries.
 
     All hooks are no-ops; :class:`repro.analysis.racecheck.RaceSanitizer`
     overrides them to build the happens-before graph.  Hook timing
     contract (what the kernel guarantees):
 
-    * :meth:`begin_task` — an event was popped off the heap; everything
-      until the next ``begin_task`` (its callbacks, including process
-      segments they resume) executes inside this task.
-    * :meth:`on_schedule` — an event was pushed onto the heap from the
-      currently running task (or from outside ``run()``, the root task).
+    * ``before_event`` (from :class:`~repro.sim.hooks.KernelHook`) — an
+      event was popped off the heap; everything until the next
+      ``before_event`` (its callbacks, including process segments they
+      resume) executes inside this task.
+    * ``on_schedule`` (likewise) — an event was pushed onto the heap
+      from the currently running task (or from outside ``run()``, the
+      root task).
     * :meth:`on_trigger` — :meth:`Event.succeed` / :meth:`Event.fail`
       is about to schedule the event; fires *before* ``on_schedule``
       for the same event so the edge can be labeled.
@@ -62,12 +67,6 @@ class KernelSanitizer:
     * :meth:`on_actor` — a :class:`~repro.sim.process.Process` is being
       stepped inside the current task (actor attribution for reports).
     """
-
-    def begin_task(self, event: "Event", ts_ns: float, label: str) -> None:
-        """A new atomic task started: ``event`` popped at ``ts_ns``."""
-
-    def on_schedule(self, event: "Event") -> None:
-        """``event`` was scheduled by the currently running task."""
 
     def on_trigger(self, event: "Event", ok: bool) -> None:
         """``event`` is being triggered (succeed/fail) right now."""

@@ -1,10 +1,10 @@
 """Host wall-clock profiler: bucket attribution, census, flamegraphs.
 
-The engine half lives in :mod:`repro.sim.hostprof` (hook interface +
-ambient slot); this module is the collector and its exporters:
+The engine half lives in :mod:`repro.sim.hostprof` (ambient slot +
+host clock); this module is the collector and its exporters:
 
-* :class:`HostProfiler` — a :class:`~repro.sim.hostprof.
-  HostProfilerHook` that attributes every dispatch's host nanoseconds
+* :class:`HostProfiler` — a :class:`~repro.sim.hooks.KernelHook`
+  that attributes every dispatch's host nanoseconds
   to a ``(component, process, phase, event-kind)`` bucket and counts
   the dispatch census (events per kind, schedule pushes per kind,
   callbacks per process, same-timestamp batch sizes in a
@@ -25,8 +25,10 @@ ambient slot); this module is the collector and its exporters:
 
 Attribution model
 -----------------
-The engine's profiled drain brackets each ``run()`` with
-``begin_run``/``end_run`` and times each dispatch ``[start, end)``.
+The kernel's instrumented drain brackets each ``run()`` with
+``on_run_start``/``on_run_end`` and calls ``before_event``/
+``after_event`` around each dispatch; the profiler reads its clock in
+each, timing the dispatch ``[start, end)``.
 The collector keeps a cursor on that timeline: the gap before a
 dispatch accrues to the kernel's own bucket (heap pops, clock writes —
 :data:`KERNEL_BUCKET`), the dispatch itself to the event's bucket, so
@@ -34,7 +36,7 @@ the buckets *tile* the drain and their sum tracks end-to-end ``run()``
 wall clock (the ≥95% attribution criterion the simulator benchmark
 asserts).
 
-Determinism: the hook's ``clock`` is injectable, so tests stub it with
+Determinism: the profiler's ``clock`` is injectable, so tests stub it with
 a counter and every export becomes byte-reproducible.
 """
 
@@ -43,7 +45,8 @@ from __future__ import annotations
 import json
 import typing
 
-from repro.sim.hostprof import HostClock, HostProfilerHook
+from repro.sim.hooks import Callbacks, KernelHook
+from repro.sim.hostprof import HostClock, host_clock
 from repro.sim.process import Process
 from repro.sim.stats import Histogram
 from repro.telemetry.bench import BenchMetric
@@ -108,7 +111,7 @@ def classify_event(event: "Event",
     return ("kernel", UNKNOWN, "idle", kind)
 
 
-class HostProfiler(HostProfilerHook):
+class HostProfiler(KernelHook):
     """Accumulating collector + ambient provider for host profiling.
 
     Install with :func:`repro.sim.hostprof.use_hostprof`; every
@@ -118,8 +121,8 @@ class HostProfiler(HostProfilerHook):
     """
 
     def __init__(self, clock: typing.Optional[HostClock] = None) -> None:
-        if clock is not None:
-            self.clock = clock  # type: ignore[method-assign]
+        #: host time source; injectable so tests can stub a counter.
+        self.clock: HostClock = clock if clock is not None else host_clock
         #: host ns per (component, process, phase, kind) bucket.
         self.buckets: typing.Dict[BucketKey, int] = {}
         #: dispatch count per bucket.
@@ -137,13 +140,14 @@ class HostProfiler(HostProfilerHook):
         self.run_ns = 0
         self._run_start = 0
         self._cursor = 0
+        self._dispatch_start = 0
 
-    # -- engine hook ----------------------------------------------------
-    def begin_run(self, host_ns: int) -> None:
-        self._run_start = host_ns
-        self._cursor = host_ns
+    # -- kernel hook ----------------------------------------------------
+    def on_run_start(self) -> None:
+        self._run_start = self._cursor = self.clock()
 
-    def end_run(self, host_ns: int) -> None:
+    def on_run_end(self, until: float | None) -> None:
+        host_ns = self.clock()
         tail = host_ns - self._cursor
         if tail > 0:
             self.buckets[KERNEL_BUCKET] = (
@@ -152,9 +156,12 @@ class HostProfiler(HostProfilerHook):
         self.run_ns += host_ns - self._run_start
         self._cursor = host_ns
 
-    def on_dispatch(self, event: "Event",
-                    callbacks: typing.Sequence[typing.Callable[..., None]],
-                    start_ns: int, end_ns: int) -> None:
+    def before_event(self, event: "Event", callbacks: Callbacks) -> None:
+        self._dispatch_start = self.clock()
+
+    def after_event(self, event: "Event", callbacks: Callbacks) -> None:
+        end_ns = self.clock()
+        start_ns = self._dispatch_start
         gap = start_ns - self._cursor
         if gap > 0:
             self.buckets[KERNEL_BUCKET] = (
@@ -169,7 +176,7 @@ class HostProfiler(HostProfilerHook):
             self.callbacks.get(process, 0) + len(callbacks))
         self._cursor = end_ns
 
-    def on_batch(self, size: int) -> None:
+    def after_instant(self, size: int) -> None:
         self.batch_sizes.add(size)
 
     def on_schedule(self, event: "Event") -> None:

@@ -21,12 +21,12 @@ burst absorption — was invisible.  This module adds the time axis:
 Window semantics
 ----------------
 Windows are ``[k*w, (k+1)*w)`` for window width ``w`` ns.  The engine
-calls :meth:`Sampler.advance` with each event timestamp *before* the
-events at that instant run, so an update at exactly a boundary belongs
-to the window that *starts* there.  Window samples are recorded at the
-window's start time.  Boundaries are computed from an integer window
-index (``(k+1) * w``), never by repeated addition, so long runs do not
-drift.  A partial final window (the run ends between boundaries) is
+calls :meth:`Sampler.before_instant` with each event timestamp
+*before* the events at that instant run, so an update at exactly a
+boundary belongs to the window that *starts* there.  Window samples
+are recorded at the window's start time.  Boundaries are computed from
+an integer window index (``(k+1) * w``), never by repeated addition, so
+long runs do not drift.  A partial final window (the run ends between boundaries) is
 **dropped** — it would average over less simulated time than every
 other sample and skew plots; run with ``until=`` landing on a boundary
 to flush it.
@@ -45,7 +45,7 @@ import os
 import sys
 import typing
 
-from repro.sim.sampling import SamplerHook
+from repro.sim.hooks import KernelHook
 from repro.sim.stats import LatencySketch, TimeSeries
 from repro.telemetry.metrics import MetricsRegistry, current_metrics
 
@@ -99,8 +99,8 @@ class TimeWeightedTracker:
         return mean
 
 
-class Sampler(SamplerHook):
-    """Engine-driven window closer for one simulator.
+class Sampler(KernelHook):
+    """Engine-driven window closer for one simulator (a kernel hook).
 
     Instruments register through :meth:`track` (time-weighted levels)
     and :meth:`watch_gauge` (boundary-sampled callables).  Samples land
@@ -138,12 +138,14 @@ class Sampler(SamplerHook):
         """Sample ``read()`` at every window boundary into ``path``."""
         self._watches.append((self._registry.series(path), read))
 
-    # -- engine hook ----------------------------------------------------
-    def advance(self, now: float) -> None:
+    # -- kernel hook ----------------------------------------------------
+    def before_instant(self, now: float) -> None:
         """Close every window boundary at or before ``now``.
 
-        One float compare on the hot path; the loop body only runs when
-        a boundary was actually crossed.
+        Called before the events at ``now`` run, so samples written at
+        exactly a window boundary land in the *next* window.  One float
+        compare on the hot path; the loop body only runs when a
+        boundary was actually crossed.
         """
         if now < self._next_boundary:
             return
@@ -159,6 +161,12 @@ class Sampler(SamplerHook):
                 self._trim(series)
             self._window_index += 1
             self._next_boundary = (self._window_index + 1) * window_ns
+
+    def on_run_end(self, until: float | None) -> None:
+        """Close windows up to the stop time, so a run that idles out
+        to ``until`` still materializes its trailing windows."""
+        if until is not None:
+            self.before_instant(until)
 
     def _trim(self, series: TimeSeries) -> None:
         retention = self.retention

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim import Simulator, use_sampling
-from repro.sim.sampling import SamplerHook, current_sampling
+from repro.sim import KernelHook
+from repro.sim.sampling import current_sampling
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.timeseries import Sampler, SamplingConfig
 
@@ -40,10 +41,12 @@ class TestAmbientProvider:
     def test_explicit_sampler_wins_over_ambient(self):
         sampler, _ = _sampler()
         with use_metrics(MetricsRegistry()), use_sampling(SamplingConfig()):
-            assert Simulator(sampler=sampler).sampler is sampler
+            assert Simulator(hooks=(sampler,)).sampler is sampler
 
-    def test_base_hook_advance_is_a_no_op(self):
-        SamplerHook().advance(123.0)  # must not raise
+    def test_sampler_is_a_kernel_hook(self):
+        sampler, _ = _sampler()
+        assert isinstance(sampler, KernelHook)
+        sampler.after_event(None, ())  # inherited no-op: must not raise
 
     def test_config_validates_window(self):
         with pytest.raises(ValueError):
@@ -62,7 +65,7 @@ class TestWindowSemantics:
     def test_duty_cycle_means(self):
         # Level 1 for 7 ns then 0 for 3 ns, each 10 ns window -> 0.7.
         sampler, registry = _sampler(window_ns=10.0)
-        sim = Simulator(sampler=sampler)
+        sim = Simulator(hooks=(sampler,))
         tracker = sampler.track("q.depth")
 
         def duty():
@@ -84,7 +87,7 @@ class TestWindowSemantics:
         # run, so a level change at exactly t=10 cannot leak into the
         # [0, 10) window.
         sampler, registry = _sampler(window_ns=10.0)
-        sim = Simulator(sampler=sampler)
+        sim = Simulator(hooks=(sampler,))
         tracker = sampler.track("q.depth")
 
         def jump():
@@ -100,7 +103,7 @@ class TestWindowSemantics:
 
     def test_partial_final_window_is_dropped(self):
         sampler, registry = _sampler(window_ns=10.0)
-        sim = Simulator(sampler=sampler)
+        sim = Simulator(hooks=(sampler,))
         tracker = sampler.track("q.depth")
 
         def run():
@@ -114,7 +117,7 @@ class TestWindowSemantics:
 
     def test_run_until_flushes_trailing_windows(self):
         sampler, registry = _sampler(window_ns=10.0)
-        sim = Simulator(sampler=sampler)
+        sim = Simulator(hooks=(sampler,))
         tracker = sampler.track("q.depth")
 
         def run():
@@ -129,7 +132,7 @@ class TestWindowSemantics:
 
     def test_watch_gauge_samples_at_boundaries(self):
         sampler, registry = _sampler(window_ns=10.0)
-        sim = Simulator(sampler=sampler)
+        sim = Simulator(hooks=(sampler,))
         depth = {"value": 0.0}
         sampler.watch_gauge("hints", lambda: depth["value"])
 
@@ -147,7 +150,7 @@ class TestWindowSemantics:
 
     def test_retention_keeps_only_the_most_recent_windows(self):
         sampler, registry = _sampler(window_ns=10.0, retention=3)
-        sim = Simulator(sampler=sampler)
+        sim = Simulator(hooks=(sampler,))
         tracker = sampler.track("q.depth")
 
         def run():
@@ -166,7 +169,7 @@ class TestWindowSemantics:
         # Boundaries come from an integer index, not repeated addition:
         # after 10k windows of 0.1 ns the boundary is still exact.
         sampler, registry = _sampler(window_ns=0.1)
-        sim = Simulator(sampler=sampler)
+        sim = Simulator(hooks=(sampler,))
         sampler.track("q.depth")
 
         def run():
@@ -180,7 +183,7 @@ class TestWindowSemantics:
     def test_shuffled_drain_samples_identically(self):
         def trace(tiebreak_seed):
             sampler, registry = _sampler(window_ns=10.0)
-            sim = Simulator(sampler=sampler,
+            sim = Simulator(hooks=(sampler,),
                             tiebreak_seed=tiebreak_seed)
             tracker = sampler.track("q.depth")
 

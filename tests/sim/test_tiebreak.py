@@ -24,9 +24,10 @@ def test_fast_drain_preserves_fifo_schedule_order():
 
 
 def test_step_loop_matches_fast_drain_order():
-    # The instrumented (sanitized) path uses step(); same-timestamp
-    # ordering must be identical to the batched fast drain.
-    sim = Simulator(sanitizer=KernelSanitizer())
+    # The instrumented (sanitized) drain dispatches through the hooks;
+    # same-timestamp ordering must be identical to the batched fast
+    # drain.
+    sim = Simulator(hooks=(KernelSanitizer(),))
     order = []
     _record_order(sim, order, 8)
     sim.run()

@@ -120,7 +120,7 @@ class TestAttribution:
             yield env.timeout(1)
 
         with use_hostprof(ambient):
-            sim = Simulator(hostprof=explicit)
+            sim = Simulator(hooks=(explicit,))
             sim.process(noop(sim), name="noop")
             sim.run()
         assert explicit.runs == 1
@@ -129,7 +129,7 @@ class TestAttribution:
     def test_no_profiler_means_no_hook(self):
         assert current_hostprof() is None
         sim = Simulator()
-        assert sim.hostprof is None
+        assert sim._hooks == ()
 
 
 class TestCensus:
