@@ -35,7 +35,8 @@ import pytest
 from repro.analysis.conformance import ProtocolChecker
 from repro.analysis.determinism import DeterminismError, capture_trace, diff_traces
 from repro.analysis.racecheck import RaceSanitizer, format_races
-from repro.sim.sanitizer import use_sanitizer, use_tiebreak
+from repro.sim.hooks import use_hooks
+from repro.sim.sanitizer import use_tiebreak
 
 
 def pytest_configure(config: typing.Any) -> None:
@@ -106,7 +107,7 @@ def protocol_monitor() -> typing.Iterator[ProtocolChecker]:
 def race_sanitizer() -> typing.Iterator[RaceSanitizer]:
     """Ambient happens-before sanitizer; fails the test on races."""
     sanitizer = RaceSanitizer()
-    with use_sanitizer(sanitizer):
+    with use_hooks(sanitizer):
         yield sanitizer
     sanitizer.stop()
     races = sanitizer.races()

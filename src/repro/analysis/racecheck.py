@@ -10,7 +10,7 @@ the two oracles that make the independence claim checkable:
 
 **Dynamic happens-before sanitizer** (:class:`RaceSanitizer`)
     Opt-in engine instrumentation.  Install it ambiently
-    (:func:`sanitize` / :func:`repro.sim.use_sanitizer`), mark the
+    (:func:`sanitize` / :func:`repro.sim.use_hooks`), mark the
     shared objects to observe with :meth:`RaceSanitizer.watch`, and run
     the workload.  The kernel reports every atomic task (one event's
     callback batch) and every causal edge — scheduling, event
@@ -60,8 +60,8 @@ import re
 import sys
 import typing
 
-from repro.sim.hooks import Callbacks, event_label
-from repro.sim.sanitizer import KernelSanitizer, use_sanitizer, use_tiebreak
+from repro.sim.hooks import Callbacks, event_label, use_hooks
+from repro.sim.sanitizer import KernelSanitizer, use_tiebreak
 from repro.telemetry.bench import record_attestation
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing-only imports
@@ -403,7 +403,7 @@ def sanitize() -> typing.Iterator[RaceSanitizer]:
     (asserts, report printing) does not append accesses.
     """
     sanitizer = RaceSanitizer()
-    with use_sanitizer(sanitizer):
+    with use_hooks(sanitizer):
         yield sanitizer
     sanitizer.stop()
 

@@ -49,15 +49,11 @@ import typing
 
 from repro.controller.request import reset_request_ids
 from repro.experiments import parallel, runner
-from repro.sim.hostprof import use_hostprof
 from repro.telemetry import (
     DEFAULT_WINDOW_NS,
-    HostProfiler,
-    SamplingConfig,
     Telemetry,
+    TelemetrySpec,
     build_profile,
-    current_metrics,
-    current_tracer,
     render_html,
     render_summary,
     render_text,
@@ -297,16 +293,16 @@ def _run_sharded(chosen: typing.List[str],
     with (telemetry.activate() if telemetry is not None
           else contextlib.nullcontext()):
         outcomes = (parallel.run_experiments_parallel(
-            shards, config, jobs=args.jobs, cache_dir=args.cache,
-            merge_into_ambient=False).outcomes if shards else {})
+            shards, config, jobs=args.jobs,
+            cache_dir=args.cache).outcomes if shards else {})
         for name in chosen:
             with _profiled(name, telemetry, want_spans, profiles):
                 if name in MATRIX_EXPERIMENTS:
                     reports[name] = _run_here(name, config, telemetry,
                                               memo)
                     continue
-                parallel.merge_outcome(outcomes[name], current_metrics(),
-                                       current_tracer())
+                if telemetry is not None:
+                    telemetry.merge(outcomes[name].fragment)
                 reports[name] = typing.cast(str, outcomes[name].payload)
     return reports
 
@@ -370,23 +366,24 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     # --metrics alone keeps the null-tracer fast path (record_spans
     # False leaves the ambient tracer null); any span consumer turns
     # recording on.  --timeseries needs the metrics registry (samples
-    # land in registry series), so it implies telemetry too.
+    # land in registry series), so it implies metrics too.  With no
+    # telemetry flag nothing is installed and the kernel keeps its
+    # no-hook fast drain.
     want_spans = bool(args.trace or args.spans or args.profile
                       or args.report)
-    sampling = (SamplingConfig(window_ns=args.window)
-                if args.timeseries is not None else None)
-    telemetry = (Telemetry(record_spans=want_spans, timeseries=sampling)
-                 if want_spans or args.metrics or sampling is not None
-                 else None)
-    # The profiler is both collector and ambient provider: serial runs
-    # feed it directly via the hook; sharded runs capture per-worker
-    # fragments and merge_outcome folds them into this same instance.
-    hostprof = HostProfiler() if args.hostprof is not None else None
+    spec = TelemetrySpec(
+        metrics=bool(want_spans or args.metrics
+                     or args.timeseries is not None),
+        spans=want_spans,
+        sampling=((args.window, None)
+                  if args.timeseries is not None else None),
+        hostprof=args.hostprof is not None)
+    # One bundle for every instrument: serial runs feed it through the
+    # hooks; sharded runs merge each worker's fragment into it.
+    telemetry = Telemetry.from_spec(spec) if any(spec) else None
     profiles: typing.List[typing.Any] = []
     reports: typing.Dict[str, str] = {}
     with contextlib.ExitStack() as stack:
-        if hostprof is not None:
-            stack.enter_context(use_hostprof(hostprof))
         # One cell memo per invocation: figures reading the same
         # execution matrix simulate each cell once between them.
         memo = stack.enter_context(runner.shared_cells(
@@ -428,9 +425,9 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                 print()
         if args.report:
             timeseries_doc = (telemetry.timeseries_document()
-                              if sampling is not None else None)
-            hostprof_doc = (hostprof.to_payload()
-                            if hostprof is not None else None)
+                              if spec.sampling is not None else None)
+            hostprof_doc = (telemetry.hostprof.to_payload()
+                            if telemetry.hostprof is not None else None)
             with open(args.report, "w", encoding="utf-8") as handle:
                 handle.write(render_html(profiles,
                                          timeseries=timeseries_doc,
@@ -439,10 +436,10 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         if args.metrics:
             print("metrics summary")
             print(telemetry.summary())
-    if hostprof is not None:
-        kind = write_hostprof(hostprof, args.hostprof)
-        print(f"host profile ({kind}) written to {args.hostprof}")
-        print(render_summary(hostprof))
+        if telemetry.hostprof is not None:
+            kind = write_hostprof(telemetry.hostprof, args.hostprof)
+            print(f"host profile ({kind}) written to {args.hostprof}")
+            print(render_summary(telemetry.hostprof))
     return 0
 
 

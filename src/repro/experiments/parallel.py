@@ -19,12 +19,14 @@ shards that work:
   replayed from the cache — zero simulations — and any source edit
   invalidates everything, so the cache can never serve stale physics.
 
-Telemetry crosses the process boundary as *fragments*
-(:mod:`repro.telemetry.fragments`): each worker runs under a fresh
-tracer/registry, captures the record, and the parent replays the
-fragments into its ambient telemetry in cell-key order — reproducing
-the serial run's ``#N`` prefix assignments and shared-counter totals
-exactly.
+Telemetry crosses the process boundary as one
+:class:`~repro.telemetry.Telemetry` bundle per cell: each worker runs
+under a fresh bundle shaped like the parent's ambient instruments
+(:meth:`~repro.telemetry.Telemetry.from_spec`), captures each
+instrument's payload, and the parent merges the fragments into its
+ambient bundle in cell-key order — reproducing the serial run's ``#N``
+prefix assignments, span ids, shared-counter totals and host-profile
+census exactly.
 """
 
 from __future__ import annotations
@@ -42,48 +44,17 @@ import typing
 
 from repro.controller.request import reset_request_ids
 from repro.experiments import runner
-from repro.sim.hostprof import current_hostprof, use_hostprof
-from repro.sim.sampling import current_sampling, use_sampling
 from repro.systems import build_system
 from repro.systems.base import ExecutionResult
 from repro.telemetry.bench import collect_provenance
-from repro.telemetry.fragments import (
-    HostProfFragment,
-    MetricsFragment,
-    TracerFragment,
-    capture_hostprof,
-    capture_metrics,
-    capture_tracer,
-    merge_hostprof,
-    merge_metrics,
-    merge_tracer,
-)
-from repro.telemetry.hostprof import HostProfiler
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    current_metrics,
-    use_metrics,
-)
-from repro.telemetry.timeseries import SamplingConfig
-from repro.telemetry.tracer import (
-    RecordingTracer,
-    current_tracer,
-    use_tracer,
-)
+from repro.telemetry.session import Fragment, Telemetry, TelemetrySpec
 
 #: Bumped whenever the cached payload layout changes; part of every key.
 #: 2: capture tuple gained the time-series sampling spec.
 #: 3: capture tuple + CellOutcome gained the host-profiling fragment.
-CACHE_SCHEMA = 3
-
-#: What telemetry a cell must capture: ``(metrics, spans, sampling,
-#: hostprof)`` where sampling is ``None`` or ``(window_ns, retention)``.
-#: Part of the cache key — a sampled (or host-profiled) rerun never
-#: reuses an entry captured under different instrumentation.
-CaptureSpec = typing.Tuple[
-    bool, bool,
-    typing.Optional[typing.Tuple[float, typing.Optional[int]]],
-    bool]
+#: 4: the capture is a TelemetrySpec (kernel events included) and
+#:    CellOutcome is ``(payload, fragment)``.
+CACHE_SCHEMA = 4
 
 #: Default cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -149,21 +120,20 @@ def _config_payload(config: runner.ExperimentConfig
 
 
 def cell_key(experiment: str, config: runner.ExperimentConfig,
-             capture: CaptureSpec,
+             capture: TelemetrySpec,
              tree_digest: typing.Union[str, None] = None) -> str:
     """Content-addressed key for one experiment cell.
 
     ``experiment`` is the cell id (``"matrix/<workload>/<system>"`` or
-    a figure id); ``capture`` records whether metrics/span fragments
-    were requested plus the time-series sampling spec, so a
-    telemetry-bearing (or sampled) rerun never reuses an entry captured
-    under different instrumentation.
+    a figure id); ``capture`` names the instruments the cell records,
+    so a rerun under different instrumentation never replays an entry
+    that lacks (or carries) some instrument's payload.
     """
     payload = {
         "schema": CACHE_SCHEMA,
         "experiment": experiment,
         "config": _config_payload(config),
-        "capture": list(capture),
+        "capture": capture._asdict(),
         "tree": tree_digest if tree_digest is not None
         else source_tree_digest(),
         "python": platform.python_version(),
@@ -217,62 +187,23 @@ class CellOutcome:
     """Everything one cell produced, picklable across processes."""
 
     payload: typing.Any  # ExecutionResult (matrix) or report str
-    metrics: typing.Union[MetricsFragment, None]
-    tracer: typing.Union[TracerFragment, None]
-    hostprof: typing.Union[HostProfFragment, None] = None
-
-
-@contextlib.contextmanager
-def _fresh_telemetry(capture: CaptureSpec) -> typing.Iterator[
-        typing.Tuple[typing.Union[MetricsRegistry, None],
-                     typing.Union[RecordingTracer, None],
-                     typing.Union[HostProfiler, None]]]:
-    """Fresh ambient registry/tracer/host profiler for one cell."""
-    want_metrics, want_spans, sampling, want_hostprof = capture
-    registry = MetricsRegistry() if want_metrics else None
-    tracer = RecordingTracer() if want_spans else None
-    profiler = HostProfiler() if want_hostprof else None
-    with contextlib.ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(use_tracer(tracer))
-        if registry is not None:
-            stack.enter_context(use_metrics(registry))
-            if sampling is not None:
-                # Same window/retention the parent sampled with, so the
-                # worker's windowed series merge byte-identically.
-                stack.enter_context(use_sampling(SamplingConfig(*sampling)))
-        if profiler is not None:
-            stack.enter_context(use_hostprof(profiler))
-        yield registry, tracer, profiler
-
-
-def _finish_cell(payload: typing.Any,
-                 registry: typing.Union[MetricsRegistry, None],
-                 tracer: typing.Union[RecordingTracer, None],
-                 profiler: typing.Union[HostProfiler, None] = None
-                 ) -> CellOutcome:
-    return CellOutcome(
-        payload=payload,
-        metrics=capture_metrics(registry) if registry is not None else None,
-        tracer=capture_tracer(tracer) if tracer is not None else None,
-        hostprof=(capture_hostprof(profiler)
-                  if profiler is not None else None))
+    fragment: Fragment   # Telemetry.capture() of the cell's bundle
 
 
 def _run_matrix_cell(config: runner.ExperimentConfig, workload: str,
-                     system: str,
-                     capture: CaptureSpec) -> CellOutcome:
-    """Worker: one (workload, system) cell under fresh telemetry."""
-    with _fresh_telemetry(capture) as (registry, tracer, profiler):
+                     system: str, spec: TelemetrySpec) -> CellOutcome:
+    """Worker: one (workload, system) cell under a fresh bundle."""
+    telemetry = Telemetry.from_spec(spec)
+    with telemetry.activate():
         reset_request_ids()
         bundle = config.bundle(workload)
         result = build_system(system, config.system_config()).run(bundle)
-    return _finish_cell(result, registry, tracer, profiler)
+    return CellOutcome(result, telemetry.capture())
 
 
 def _run_experiment_cell(name: str, config: runner.ExperimentConfig,
-                         capture: CaptureSpec) -> CellOutcome:
-    """Worker: one whole experiment under fresh telemetry.
+                         spec: TelemetrySpec) -> CellOutcome:
+    """Worker: one whole experiment under a fresh bundle.
 
     The experiment registry lives in the CLI module; importing it here
     (not at module scope) keeps the worker picklable and avoids an
@@ -280,14 +211,14 @@ def _run_experiment_cell(name: str, config: runner.ExperimentConfig,
     """
     from repro.experiments.cli import EXPERIMENTS
     _, run_fn = EXPERIMENTS[name]
-    with _fresh_telemetry(capture) as (registry, tracer, profiler):
+    telemetry = Telemetry.from_spec(spec)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(telemetry.activate())
+        if telemetry.record_spans:
+            stack.enter_context(telemetry.tracer.scope(name))
         reset_request_ids()
-        if tracer is not None:
-            with tracer.scope(name):
-                report = run_fn(config)
-        else:
-            report = run_fn(config)
-    return _finish_cell(report, registry, tracer, profiler)
+        report = run_fn(config)
+    return CellOutcome(report, telemetry.capture())
 
 
 # ----------------------------------------------------------------------
@@ -316,26 +247,22 @@ class MatrixRun:
 
 @dataclasses.dataclass
 class ExperimentRun:
-    """Ordered experiment reports plus run stats."""
+    """Per-experiment outcomes, in experiment order, plus run stats."""
 
-    reports: "typing.Dict[str, str]"  # experiment id -> report text
+    outcomes: "typing.Dict[str, CellOutcome]"
     stats: RunStats
-    #: Per-experiment raw outcomes (reports + telemetry fragments), in
-    #: experiment order — for callers doing their own staged merge.
-    outcomes: "typing.Dict[str, CellOutcome]" = dataclasses.field(
-        default_factory=dict)
 
 
 def _execute_cells(
         cells: typing.Sequence[typing.Tuple[str, typing.Any]],
         worker: typing.Callable[..., CellOutcome],
+        config: runner.ExperimentConfig,
+        capture: TelemetrySpec,
         jobs: int,
-        cache: typing.Union[ResultCache, None],
-        keys: typing.Union[typing.Sequence[str], None],
-        capture: CaptureSpec,
+        cache_dir: typing.Union[str, os.PathLike[str], None],
 ) -> typing.Tuple[typing.List[CellOutcome], RunStats]:
     """Run ``cells`` (id, worker-args) and return outcomes **in cell
-    order** regardless of completion order; cache when enabled.
+    order** regardless of completion order; cache when ``cache_dir``.
 
     This is the determinism pivot: submission fans out, but merging
     walks ``cells`` front to back, so telemetry replay and result
@@ -343,13 +270,15 @@ def _execute_cells(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    keys = ([cell_key(cell_id, config, capture, source_tree_digest())
+             for cell_id, _ in cells] if cache is not None else [])
     stats = RunStats()
     outcomes: typing.List[typing.Union[CellOutcome, None]] = [None] * len(
         cells)
     pending: typing.List[int] = []
     for index in range(len(cells)):
-        cached = (cache.get(keys[index])
-                  if cache is not None and keys is not None else None)
+        cached = cache.get(keys[index]) if cache is not None else None
         if cached is not None:
             outcomes[index] = cached
             stats.cached += 1
@@ -370,37 +299,12 @@ def _execute_cells(
         else:
             for index in pending:
                 outcomes[index] = worker(*cells[index][1], capture)
-        if cache is not None and keys is not None:
+        if cache is not None:
             for index in pending:
                 cache.put(keys[index],
                           typing.cast(CellOutcome, outcomes[index]))
     return [typing.cast(CellOutcome, outcome)
             for outcome in outcomes], stats
-
-
-def merge_outcome(outcome: CellOutcome,
-                  registry: MetricsRegistry,
-                  tracer: "typing.Any") -> None:
-    """Replay one cell's telemetry fragments into the ambient sinks."""
-    if outcome.metrics is not None and registry.enabled:
-        merge_metrics(registry, outcome.metrics)
-    if outcome.tracer is not None and getattr(tracer, "enabled", False):
-        if isinstance(tracer, RecordingTracer):
-            merge_tracer(tracer, outcome.tracer)
-    if outcome.hostprof is not None:
-        ambient = current_hostprof()
-        if isinstance(ambient, HostProfiler):
-            merge_hostprof(ambient, outcome.hostprof)
-
-
-def _ambient_capture() -> CaptureSpec:
-    provider = current_sampling()
-    sampling = (provider.spec()
-                if isinstance(provider, SamplingConfig) else None)
-    return (current_metrics().enabled,
-            isinstance(current_tracer(), RecordingTracer),
-            sampling,
-            current_hostprof() is not None)
 
 
 def run_matrix_parallel(
@@ -440,22 +344,14 @@ def run_cells_parallel(
     cached run simulates (or replays) each matrix cell once however
     many figures read it.  Cells merge in list order.
     """
-    capture = _ambient_capture()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    telemetry = Telemetry.ambient()
     shards = [(f"matrix/{workload}/{system}", (config, workload, system))
               for workload, system in cells]
-    keys = None
-    if cache is not None:
-        tree = source_tree_digest()
-        keys = [cell_key(cell_id, config, capture, tree)
-                for cell_id, _ in shards]
-    outcomes, stats = _execute_cells(
-        shards, _run_matrix_cell, jobs, cache, keys, capture)
-    registry = current_metrics()
-    tracer = current_tracer()
+    outcomes, stats = _execute_cells(shards, _run_matrix_cell, config,
+                                     telemetry.spec(), jobs, cache_dir)
     matrix: typing.Dict[str, typing.Dict[str, ExecutionResult]] = {}
     for (workload, system), outcome in zip(cells, outcomes):
-        merge_outcome(outcome, registry, tracer)
+        telemetry.merge(outcome.fragment)
         matrix.setdefault(workload, {})[system] = typing.cast(
             ExecutionResult, outcome.payload)
     return MatrixRun(matrix=matrix, stats=stats)
@@ -467,37 +363,22 @@ def run_experiments_parallel(
         *,
         jobs: int = 1,
         cache_dir: typing.Union[str, os.PathLike[str], None] = None,
-        merge_into_ambient: bool = True,
 ) -> ExperimentRun:
     """Run whole experiments as shards (the CLI's ``all --jobs N``).
 
-    Reports come back keyed by experiment id in the order given;
-    telemetry fragments merge into the ambient tracer/registry per
-    experiment, in experiment order, so ``--metrics``/``--trace``
-    output matches a serial ``all`` run.
+    Outcomes (report text + telemetry fragment) come back keyed by
+    experiment id in the order given.  Each fragment records what the
+    ambient bundle records; the caller merges them
+    (``Telemetry.merge``) in experiment order, so ``--metrics``/
+    ``--trace`` output matches a serial run.
     """
     if not names:
         raise ValueError("run_experiments_parallel: empty experiment list")
-    capture = _ambient_capture()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
     cells = [(f"experiment/{name}", (name, config)) for name in names]
-    keys = None
-    if cache is not None:
-        tree = source_tree_digest()
-        keys = [cell_key(cell_id, config, capture, tree)
-                for cell_id, _ in cells]
-    outcomes, stats = _execute_cells(
-        cells, _run_experiment_cell, jobs, cache, keys, capture)
-    registry = current_metrics()
-    tracer = current_tracer()
-    reports: typing.Dict[str, str] = {}
-    raw: typing.Dict[str, CellOutcome] = {}
-    for (_, (name, _)), outcome in zip(cells, outcomes):
-        if merge_into_ambient:
-            merge_outcome(outcome, registry, tracer)
-        reports[name] = typing.cast(str, outcome.payload)
-        raw[name] = outcome
-    return ExperimentRun(reports=reports, stats=stats, outcomes=raw)
+    outcomes, stats = _execute_cells(cells, _run_experiment_cell, config,
+                                     Telemetry.ambient().spec(), jobs,
+                                     cache_dir)
+    return ExperimentRun(outcomes=dict(zip(names, outcomes)), stats=stats)
 
 
 # ----------------------------------------------------------------------

@@ -13,23 +13,26 @@ The engine is a small, from-scratch, simpy-style coroutine kernel:
   (ports, buses, buffers).
 * :class:`~repro.sim.hooks.KernelHook` is the one seam every
   instrument (sanitizer, sampler, host profiler, tracer) observes the
-  kernel through.
+  kernel through; :func:`~repro.sim.hooks.use_hooks` is the one slot
+  they are installed in.
 * :mod:`~repro.sim.stats` collects counters, time-weighted series and
   category breakdowns used to regenerate the paper's figures.
 """
 
 from repro.sim.engine import Simulator
 from repro.sim.event import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.sim.hooks import KernelHook
-from repro.sim.hostprof import current_hostprof, use_hostprof
+from repro.sim.hooks import (
+    HookProvider,
+    KernelHook,
+    current_hook_providers,
+    use_hooks,
+)
+from repro.sim.hostprof import use_hostprof
 from repro.sim.process import Process
 from repro.sim.resource import Channel, Resource, Store
-from repro.sim.sampling import current_sampling, use_sampling
 from repro.sim.sanitizer import (
     KernelSanitizer,
-    current_sanitizer,
     current_tiebreak_seed,
-    use_sanitizer,
     use_tiebreak,
 )
 from repro.sim.stats import (
@@ -50,6 +53,7 @@ __all__ = [
     "Counter",
     "Event",
     "Histogram",
+    "HookProvider",
     "Interrupt",
     "KernelHook",
     "KernelSanitizer",
@@ -62,12 +66,9 @@ __all__ = [
     "Store",
     "TimeSeries",
     "Timeout",
-    "current_hostprof",
-    "current_sampling",
-    "current_sanitizer",
+    "current_hook_providers",
     "current_tiebreak_seed",
+    "use_hooks",
     "use_hostprof",
-    "use_sampling",
-    "use_sanitizer",
     "use_tiebreak",
 ]

@@ -24,15 +24,10 @@ import random
 import typing
 
 from repro.sim.event import AllOf, AnyOf, Event, Timeout
-from repro.sim.hooks import Callbacks, KernelHook, event_label
-from repro.sim.hostprof import current_hostprof
+from repro.sim.hooks import Callbacks, KernelHook, ambient_hooks, event_label
 from repro.sim.process import Process
-from repro.sim.sampling import WindowSampler, current_sampling
-from repro.sim.sanitizer import (
-    KernelSanitizer,
-    current_sanitizer,
-    current_tiebreak_seed,
-)
+from repro.sim.sampling import WindowSampler
+from repro.sim.sanitizer import KernelSanitizer, current_tiebreak_seed
 from repro.telemetry.tracer import Tracer, combine, current_tracer
 
 GeneratorType = typing.Generator
@@ -85,10 +80,10 @@ class Simulator:
         # simulator built inside their scope.
         self.tracer: Tracer = combine(tracer, current_tracer())
         # Instruments (repro.sim.hooks): explicit hooks replace the
-        # ambient ones; an enabled tracer joins either set.  With no
-        # hook at all, run() keeps the batched fast drain and
-        # _schedule its guard-free class body.
-        resolved = list(hooks) if hooks is not None else _ambient_hooks()
+        # ones the ambient providers supply; an enabled tracer joins
+        # either set.  With no hook at all, run() keeps the batched
+        # fast drain and _schedule its guard-free class body.
+        resolved = list(hooks) if hooks is not None else ambient_hooks()
         if self.tracer.enabled:
             resolved.insert(0, _TracerHook(self.tracer))
         self._hooks: typing.Tuple[KernelHook, ...] = tuple(resolved)
@@ -320,19 +315,6 @@ class Simulator:
                 hook.after_instant(size)
         for hook in hooks:
             hook.on_run_end(until)
-
-
-def _ambient_hooks() -> typing.List[KernelHook]:
-    """The instruments installed ambiently: sanitizer, sampler,
-    profiler (each provider may decline with ``None``)."""
-    sampling = current_sampling()
-    hostprof = current_hostprof()
-    candidates = (
-        current_sanitizer(),
-        sampling.create_sampler() if sampling is not None else None,
-        hostprof.create_hostprof() if hostprof is not None else None,
-    )
-    return [hook for hook in candidates if hook is not None]
 
 
 class _TracerHook(KernelHook):

@@ -38,10 +38,24 @@ dispatches exactly the events an uninstrumented one does.
 
 The Protocol's methods are no-ops, so an implementation subclasses it
 and overrides only what it observes.
+
+Ambient installation
+--------------------
+Every instrument is installed through one :class:`contextvars.ContextVar`
+slot of :class:`HookProvider`\\ s (:func:`use_hooks`).  A simulator
+built without explicit ``hooks`` asks each installed provider for a
+hook (:func:`ambient_hooks`); a provider may decline with ``None``
+(the window sampler does when no metrics registry is active).  The slot
+holds at most one provider per class: installing a provider shadows
+the one of its class for the ``with`` body, and installing the provider
+that is already there is a no-op, so nested activations of one
+instrument bundle never double a hook.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import typing
 
 from repro.sim.process import Process
@@ -78,6 +92,56 @@ class KernelHook(typing.Protocol):
     def on_run_end(self, until: float | None) -> None:
         """The drain stopped (heap empty, or the next event is past
         ``until``); the clock has not yet been advanced to ``until``."""
+
+
+class HookProvider(typing.Protocol):
+    """Anything that can supply a kernel hook per simulator."""
+
+    def create_hook(self) -> typing.Optional[KernelHook]:
+        """A hook for one simulator, or ``None`` to opt out."""
+        ...
+
+
+_PROVIDERS: "contextvars.ContextVar[typing.Tuple[HookProvider, ...]]" = (
+    contextvars.ContextVar("repro_hook_providers", default=()))
+
+
+def current_hook_providers() -> typing.Tuple[HookProvider, ...]:
+    """The installed providers, in installation order."""
+    return _PROVIDERS.get()
+
+
+@contextlib.contextmanager
+def use_hooks(*providers: HookProvider
+              ) -> typing.Iterator[typing.Tuple[HookProvider, ...]]:
+    """Install ``providers`` ambiently for the ``with`` body.
+
+    Each shadows the installed provider of its own class (keeping that
+    one's position) or is appended; re-installing the same object is a
+    no-op.  Token-based restoration keeps nested uses independent.
+    """
+    slot = list(_PROVIDERS.get())
+    for provider in providers:
+        kinds = [type(installed) for installed in slot]
+        if type(provider) in kinds:
+            slot[kinds.index(type(provider))] = provider
+        else:
+            slot.append(provider)
+    token = _PROVIDERS.set(tuple(slot))
+    try:
+        yield tuple(slot)
+    finally:
+        _PROVIDERS.reset(token)
+
+
+def ambient_hooks() -> typing.List[KernelHook]:
+    """One hook per installed provider that does not decline."""
+    hooks: typing.List[KernelHook] = []
+    for provider in _PROVIDERS.get():
+        hook = provider.create_hook()
+        if hook is not None:
+            hooks.append(hook)
+    return hooks
 
 
 def event_label(event: "Event", callbacks: Callbacks) -> str:

@@ -1,8 +1,8 @@
 """Kernel-side hooks for the race sanitizer and the tie-break oracle.
 
 This module is the *engine half* of :mod:`repro.analysis.racecheck`:
-it defines the hook interface the kernel calls into and the ambient
-installation slots, with no dependency on the analysis package (the
+it defines the hook interface the kernel calls into and the tie-break
+installation slot, with no dependency on the analysis package (the
 analysis package imports :mod:`repro.sim`, so the dependency must point
 this way to avoid a cycle).
 
@@ -15,7 +15,8 @@ Two debug facilities share this module:
   sanitizer is installed*; each of those call sites is guarded by an
   ``is not None`` test on the simulator's resolved sanitizer, so an
   uninstrumented run pays at most one attribute load per guarded
-  site.
+  site.  A sanitizer is its own provider: install it with
+  :func:`repro.sim.hooks.use_hooks`.
 * The **tie-break shuffle seed** — an ambient knob that makes
   :meth:`repro.sim.engine.Simulator.run` drain same-timestamp events in
   a seeded random permutation instead of FIFO order.  The shuffle
@@ -23,8 +24,8 @@ Two debug facilities share this module:
   uses it to test whether a workload's final stats depend on the
   kernel's tie-break policy.
 
-Both slots are :class:`contextvars.ContextVar`\\ s, mirroring the
-ambient tracer: simulators resolve them at construction, so harnesses
+The seed slot is a :class:`contextvars.ContextVar`, mirroring the
+hook-provider slot: simulators resolve it at construction, so harnesses
 wrap workloads without threading arguments through every constructor,
 and nested/concurrent uses never clobber each other.
 """
@@ -68,6 +69,10 @@ class KernelSanitizer(KernelHook):
       stepped inside the current task (actor attribution for reports).
     """
 
+    def create_hook(self) -> "KernelSanitizer":
+        """One sanitizer observes every simulator built in its scope."""
+        return self
+
     def on_trigger(self, event: "Event", ok: bool) -> None:
         """``event`` is being triggered (succeed/fail) right now."""
 
@@ -85,36 +90,10 @@ class KernelSanitizer(KernelHook):
 
 
 # ----------------------------------------------------------------------
-# Ambient installation slots
+# Ambient tie-break seed
 # ----------------------------------------------------------------------
-_SANITIZER: contextvars.ContextVar[typing.Optional[KernelSanitizer]] = (
-    contextvars.ContextVar("repro_sim_sanitizer", default=None))
-
 _TIEBREAK_SEED: contextvars.ContextVar[typing.Optional[int]] = (
     contextvars.ContextVar("repro_sim_tiebreak_seed", default=None))
-
-_SanitizerT = typing.TypeVar("_SanitizerT", bound=KernelSanitizer)
-
-
-def current_sanitizer() -> typing.Optional[KernelSanitizer]:
-    """The context's ambient sanitizer (``None`` = uninstrumented)."""
-    return _SANITIZER.get()
-
-
-@contextlib.contextmanager
-def use_sanitizer(
-        sanitizer: _SanitizerT) -> typing.Iterator[_SanitizerT]:
-    """Install ``sanitizer`` ambiently for the ``with`` body.
-
-    Simulators constructed inside the body bind to it at construction
-    (the same convention as :func:`repro.telemetry.tracer.use_tracer`).
-    Token-based restoration keeps nested uses independent.
-    """
-    token = _SANITIZER.set(sanitizer)
-    try:
-        yield sanitizer
-    finally:
-        _SANITIZER.reset(token)
 
 
 def current_tiebreak_seed() -> typing.Optional[int]:

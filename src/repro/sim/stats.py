@@ -338,7 +338,7 @@ class SketchLayout:
 DEFAULT_SKETCH_LAYOUT = SketchLayout()
 
 #: Serialized sketch state (layout triple, sparse buckets, count,
-#: clamped count, min, max) — the fragments payload.
+#: clamped count, min, max) — the registry payload.
 SketchPayload = typing.Tuple[
     typing.Tuple[int, int, int],
     typing.List[typing.Tuple[int, int]],
@@ -350,7 +350,7 @@ class LatencySketch:
 
     The sketch state is **integers only** (sparse bucket counts) plus
     exact float ``min``/``max``, so :meth:`merge` is associative,
-    commutative, and byte-deterministic: folding sharded fragments in
+    commutative, and byte-deterministic: folding sharded payloads in
     any grouping reproduces the serial sketch bit-for-bit.  Quantiles
     use the module-level nearest-rank definition over bucket
     populations; the returned value is the containing bucket's upper

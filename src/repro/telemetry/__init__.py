@@ -10,7 +10,10 @@ Three layers, all ambient-by-default and zero-overhead when disabled:
 * :mod:`repro.telemetry.export` — Perfetto/Chrome JSON, a JSON-lines
   span log shared with ``repro.analysis``, and a terminal summary.
 
-:class:`Telemetry` bundles all three for the experiments CLI.
+:class:`Telemetry` bundles the tracer and registry with the window
+sampler (:mod:`repro.telemetry.timeseries`) and the host profiler
+(:mod:`repro.telemetry.hostprof`) for the experiments CLI and the
+parallel runner.
 
 NOTE: ``tracer`` must stay import-light (stdlib only) — the simulator
 kernel imports it, so anything heavier would cycle.  Keep the ``tracer``
@@ -63,7 +66,7 @@ from repro.telemetry.timeseries import (  # noqa: E402
     write_timeseries,
 )
 
-from repro.telemetry.session import Telemetry  # noqa: E402
+from repro.telemetry.session import Telemetry, TelemetrySpec  # noqa: E402
 
 from repro.telemetry.profile import (  # noqa: E402
     SEGMENTS,
@@ -102,18 +105,6 @@ from repro.telemetry.bench import (  # noqa: E402
     write_bench,
 )
 
-from repro.telemetry.fragments import (  # noqa: E402
-    HostProfFragment,
-    MetricsFragment,
-    TracerFragment,
-    capture_hostprof,
-    capture_metrics,
-    capture_tracer,
-    merge_hostprof,
-    merge_metrics,
-    merge_tracer,
-)
-
 from repro.telemetry.hostprof import (  # noqa: E402
     HostProfiler,
     classify_event,
@@ -144,13 +135,11 @@ __all__ = [
     "CompareResult",
     "DEFAULT_WINDOW_NS",
     "ExperimentProfile",
-    "HostProfFragment",
     "HostProfiler",
     "IntervalGauge",
     "KernelEventRecorder",
     "LittlesLawCheck",
     "MetricDelta",
-    "MetricsFragment",
     "MetricsRegistry",
     "MultiTracer",
     "NULL_METRICS",
@@ -163,16 +152,13 @@ __all__ = [
     "Span",
     "TIMESERIES_SCHEMA",
     "Telemetry",
+    "TelemetrySpec",
     "TimeWeightedTracker",
     "Tracer",
-    "TracerFragment",
     "TrackUtilization",
     "attribute_requests",
     "bench_filename",
     "build_profile",
-    "capture_hostprof",
-    "capture_metrics",
-    "capture_tracer",
     "capture_window",
     "classify_event",
     "clear_attestations",
@@ -189,10 +175,7 @@ __all__ = [
     "load_spanlog",
     "load_speedscope",
     "load_timeseries",
-    "merge_hostprof",
-    "merge_metrics",
     "merge_reports",
-    "merge_tracer",
     "parse_collapsed",
     "perfetto_document",
     "perfetto_events",

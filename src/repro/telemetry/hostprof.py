@@ -1,15 +1,15 @@
 """Host wall-clock profiler: bucket attribution, census, flamegraphs.
 
-The engine half lives in :mod:`repro.sim.hostprof` (ambient slot +
-host clock); this module is the collector and its exporters:
+The engine half lives in :mod:`repro.sim.hostprof` (host clock +
+installer); this module is the collector and its exporters:
 
 * :class:`HostProfiler` — a :class:`~repro.sim.hooks.KernelHook`
   that attributes every dispatch's host nanoseconds
   to a ``(component, process, phase, event-kind)`` bucket and counts
   the dispatch census (events per kind, schedule pushes per kind,
   callbacks per process, same-timestamp batch sizes in a
-  :class:`~repro.sim.stats.Histogram`).  It is its own ambient
-  *provider* (``create_hostprof`` returns ``self``), so one profiler
+  :class:`~repro.sim.stats.Histogram`).  It is its own hook
+  *provider* (``create_hook`` returns ``self``), so one profiler
   accumulates across every simulator a run builds.
 * Flamegraph exporters: collapsed-stack lines (``a;b;c <ns>``, the
   format every flamegraph toolchain eats) and speedscope JSON
@@ -114,10 +114,11 @@ def classify_event(event: "Event",
 class HostProfiler(KernelHook):
     """Accumulating collector + ambient provider for host profiling.
 
-    Install with :func:`repro.sim.hostprof.use_hostprof`; every
-    simulator built inside the scope feeds this one instance
-    (``create_hostprof`` returns ``self`` — the kernel is
-    single-threaded, so sequential runs share the collector safely).
+    Install with :func:`repro.sim.hostprof.use_hostprof` (or in a
+    :class:`repro.telemetry.Telemetry` bundle); every simulator built
+    inside the scope feeds this one instance (``create_hook`` returns
+    ``self`` — the kernel is single-threaded, so sequential runs share
+    the collector safely).
     """
 
     def __init__(self, clock: typing.Optional[HostClock] = None) -> None:
@@ -183,8 +184,8 @@ class HostProfiler(KernelHook):
         kind = type(event).__name__
         self.schedules[kind] = self.schedules.get(kind, 0) + 1
 
-    # -- ambient provider -----------------------------------------------
-    def create_hostprof(self) -> "HostProfiler":
+    # -- hook provider --------------------------------------------------
+    def create_hook(self) -> "HostProfiler":
         """Providers mint hooks; this collector hands out itself."""
         return self
 
@@ -233,11 +234,13 @@ class HostProfiler(KernelHook):
                 value=float(ns), better="neutral", unit="ns")
         return metrics
 
-    # -- merge / payload (fragments bridge) -----------------------------
+    # -- merge / payload (process-parallel merge) -----------------------
     def merge(self, other: "HostProfiler") -> None:
         """Fold ``other`` into this collector (associative: sums and
         sample-list concatenation only, so any merge grouping of
-        fragments produces the same totals)."""
+        payloads produces the same totals).  Host nanoseconds differ
+        between serial and sharded runs (different host work happened);
+        merged in cell-key order, the census is identical."""
         for key, ns in other.buckets.items():
             self.buckets[key] = self.buckets.get(key, 0) + ns
         for key, count in other.bucket_counts.items():
@@ -266,6 +269,10 @@ class HostProfiler(KernelHook):
             "callbacks": dict(sorted(self.callbacks.items())),
             "batch_sizes": list(self.batch_sizes.samples),
         }
+
+    def merge_payload(self, payload: typing.Dict[str, typing.Any]) -> None:
+        """Fold one :meth:`to_payload` into this collector."""
+        self.merge(HostProfiler.from_payload(payload))
 
     @classmethod
     def from_payload(cls, payload: typing.Dict[str, typing.Any]

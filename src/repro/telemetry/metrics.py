@@ -12,6 +12,13 @@ Like the tracer, the registry is ambient (:func:`current_metrics` /
 :func:`use_metrics`) and defaults to a disabled instance: components
 register unconditionally, and when no registry is active the calls
 hand back unregistered throwaway containers and record nothing.
+
+A registry crosses a process boundary as :meth:`MetricsRegistry.
+to_payload` and folds back with :meth:`MetricsRegistry.merge_payload`:
+merged in cell-key order, sharded payloads reproduce a serial run's
+registry exactly (prefix reservations replay, shared paths accumulate,
+plain gauges overwrite and peak gauges fold with ``max``; DESIGN.md
+§11.1).
 """
 
 from __future__ import annotations
@@ -34,6 +41,15 @@ from repro.sim.stats import (
 #: Anything the registry can hold under a path.
 Container = typing.Union[
     Counter, Histogram, Breakdown, TimeSeries, LatencySketch]
+
+#: Payload tag -> container class (see :meth:`MetricsRegistry.to_payload`).
+_KINDS: typing.Dict[str, typing.Type[typing.Any]] = {
+    "counter": Counter,
+    "histogram": Histogram,
+    "breakdown": Breakdown,
+    "series": TimeSeries,
+    "sketch": LatencySketch,
+}
 
 
 def _caller_site(depth: int) -> str:
@@ -60,14 +76,14 @@ class MetricsRegistry:
         self._containers: typing.Dict[str, Container] = {}
         self._gauges: typing.Dict[str, float] = {}
         # assigned prefix -> the base it was reserved under, in
-        # reservation order — fragment merge (repro.telemetry.fragments)
-        # replays reservations to keep ``#N`` suffixes deterministic.
+        # reservation order — merge_payload replays reservations to
+        # keep ``#N`` suffixes deterministic.
         self._prefixes: typing.Dict[str, str] = {}
         # base -> most recently assigned prefix for it (see
         # latest_prefix).
         self._latest_prefix: typing.Dict[str, str] = {}
         # Paths whose last write came through gauge_max (peak semantics);
-        # fragment merge folds these with max() instead of overwrite.
+        # merge_payload folds these with max() instead of overwrite.
         self._gauge_max_paths: typing.Set[str] = set()
         # path -> "file:line" of the registration site, recorded only at
         # registration time so collisions can name both parties.
@@ -244,6 +260,80 @@ class MetricsRegistry:
                 rendered = f"{value:.4g}"
             lines.append(f"{path:<{width}}  {rendered}")
         return "\n".join(lines)
+
+    # -- payload (process-parallel merge) --------------------------------
+    def to_payload(self) -> typing.Dict[str, typing.Any]:
+        """Picklable snapshot: prefix reservations, containers and
+        gauges, each in registration order."""
+        containers: typing.List[typing.Tuple[str, str, typing.Any]] = []
+        for path, container in self._containers.items():
+            if isinstance(container, Counter):
+                containers.append(
+                    (path, "counter", (container.value, container.events)))
+            elif isinstance(container, Histogram):
+                containers.append((path, "histogram",
+                                   list(container.samples)))
+            elif isinstance(container, Breakdown):
+                containers.append((path, "breakdown", container.as_dict()))
+            elif isinstance(container, TimeSeries):
+                containers.append((path, "series",
+                                   (list(container.times),
+                                    list(container.values))))
+            elif isinstance(container, LatencySketch):
+                containers.append((path, "sketch", container.to_payload()))
+        return {
+            "prefixes": list(self._prefixes.items()),
+            "containers": containers,
+            "gauges": [(path, value, path in self._gauge_max_paths)
+                       for path, value in self._gauges.items()],
+        }
+
+    def merge_payload(self, payload: typing.Dict[str, typing.Any]) -> None:
+        """Fold one :meth:`to_payload` into this registry (call in
+        cell-key order; a disabled registry ignores it)."""
+        if not self.enabled:
+            return
+        remap = {assigned: self.component_prefix(base)
+                 for assigned, base in payload["prefixes"]}
+
+        def rewrite(path: str) -> str:
+            best = ""
+            for assigned in remap:
+                if ((path == assigned or path.startswith(assigned + "."))
+                        and len(assigned) > len(best)):
+                    best = assigned
+            if not best:
+                return path
+            return remap[best] + path[len(best):]
+
+        for path, kind, data in payload["containers"]:
+            if kind not in _KINDS:
+                raise ValueError(
+                    f"unknown container kind {kind!r} at {path!r}")
+            container = self._get_or_create(rewrite(path), _KINDS[kind])
+            if kind == "counter":
+                value, events = data
+                container.value += value
+                container.events += events
+            elif kind == "histogram":
+                for sample in data:
+                    container.add(sample)
+            elif kind == "breakdown":
+                for category, amount in data.items():
+                    container.add(category, amount)
+            elif kind == "sketch":
+                # Associative integer-bucket fold: any merge grouping
+                # reproduces the serial sketch byte-for-byte.
+                container.merge(LatencySketch.from_payload(path, data))
+            else:  # series: concatenation (worker series are cell-local)
+                times, values = data
+                container.times.extend(times)
+                container.values.extend(values)
+        for path, value, is_peak in payload["gauges"]:
+            if is_peak:
+                self.gauge_max(rewrite(path), value)
+            else:
+                self.gauge(rewrite(path), value)
 
     # -- lifecycle ------------------------------------------------------
     def reset(self) -> None:

@@ -4,8 +4,9 @@ Everything the stack reported before this module was an end-of-run
 aggregate; transient behavior — queue buildup, write-pause stalls,
 burst absorption — was invisible.  This module adds the time axis:
 
-* :class:`SamplingConfig` is the ambient provider installed with
-  :func:`repro.sim.sampling.use_sampling`.  Each
+* :class:`SamplingConfig` is the hook provider installed with
+  :func:`repro.sim.hooks.use_hooks` (a :class:`~repro.telemetry.Telemetry`
+  bundle with ``timeseries`` does that).  Each
   :class:`~repro.sim.engine.Simulator` built inside its scope asks it
   for a fresh :class:`Sampler` (or ``None`` when metrics are off, which
   keeps the engine's zero-overhead fast drain).
@@ -13,7 +14,8 @@ burst absorption — was invisible.  This module adds the time axis:
   engine advances and records one sample per window per instrument
   into ordinary registry :class:`~repro.sim.stats.TimeSeries`
   containers — so sharded runs merge byte-identically through
-  :mod:`repro.telemetry.fragments` with no extra machinery.
+  :meth:`~repro.telemetry.metrics.MetricsRegistry.merge_payload` with
+  no extra machinery.
 * :class:`TimeWeightedTracker` turns instantaneous level changes
   (queue depth, pairs in use, awake PEs) into per-window time-weighted
   means.
@@ -105,7 +107,7 @@ class Sampler(KernelHook):
     Instruments register through :meth:`track` (time-weighted levels)
     and :meth:`watch_gauge` (boundary-sampled callables).  Samples land
     in registry series at the supplied dotted paths, so everything
-    downstream — snapshots, fragments merge, export — sees them as
+    downstream — snapshots, payload merge, export — sees them as
     ordinary metrics.
     """
 
@@ -176,11 +178,11 @@ class Sampler(KernelHook):
 
 
 class SamplingConfig:
-    """Ambient provider: one sampling policy, one sampler per simulator.
+    """Hook provider: one sampling policy, one sampler per simulator.
 
-    Install with :func:`repro.sim.sampling.use_sampling`; simulators
-    built inside the scope sample into the ambient metrics registry.
-    ``create_sampler`` returns ``None`` when metrics are disabled, so a
+    Install with :func:`repro.sim.hooks.use_hooks`; simulators built
+    inside the scope sample into the ambient metrics registry.
+    ``create_hook`` returns ``None`` when metrics are disabled, so a
     sampling scope without a registry costs nothing.
     """
 
@@ -191,7 +193,7 @@ class SamplingConfig:
         self.window_ns = window_ns
         self.retention = retention
 
-    def create_sampler(self) -> typing.Optional[Sampler]:
+    def create_hook(self) -> typing.Optional[Sampler]:
         """A fresh :class:`Sampler` bound to the ambient registry."""
         registry = current_metrics()
         if not registry.enabled:

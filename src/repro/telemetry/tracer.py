@@ -156,7 +156,7 @@ class RecordingTracer(Tracer):
         self.instants: typing.List[Span] = []
         self.kernel_events: typing.List[typing.Tuple[float, str]] = []
         self.commands: typing.List[typing.Any] = []
-        self._record_kernel = record_kernel_events
+        self.record_kernel_events = record_kernel_events
         self._ids = itertools.count(1)
         self._scopes: typing.List[str] = []
 
@@ -177,7 +177,7 @@ class RecordingTracer(Tracer):
             args=args))
 
     def kernel_event(self, ts_ns: float, label: str) -> None:
-        if self._record_kernel:
+        if self.record_kernel_events:
             self.kernel_events.append((ts_ns, label))
 
     def command(self, record: typing.Any) -> None:
@@ -195,6 +195,40 @@ class RecordingTracer(Tracer):
             yield self
         finally:
             self._scopes.pop()
+
+    # -- payload (process-parallel merge) --------------------------------
+    def to_payload(self) -> typing.Dict[str, typing.Any]:
+        """Picklable snapshot of everything recorded."""
+        return {"spans": list(self.spans),
+                "instants": list(self.instants),
+                "commands": list(self.commands),
+                "kernel_events": list(self.kernel_events)}
+
+    def merge_payload(self, payload: typing.Dict[str, typing.Any]) -> None:
+        """Append one :meth:`to_payload` record (call in cell-key order).
+
+        A worker's ids are contiguous from 1 across spans *and*
+        instants (they share one counter), so shifting every id by this
+        tracer's consumed count reproduces the id stream a serial run
+        would have assigned — including the span/instant interleaving.
+        Spans land under the open scope, as they would have had the
+        cell run here.
+        """
+        base = len(self)
+        outer = self._current_scope()
+
+        def place(span: Span) -> Span:
+            scope = "/".join(part for part in (outer, span.scope) if part)
+            return dataclasses.replace(span, span_id=base + span.span_id,
+                                       scope=scope)
+
+        self.spans.extend(place(span) for span in payload["spans"])
+        self.instants.extend(place(instant)
+                             for instant in payload["instants"])
+        self.commands.extend(payload["commands"])
+        self.kernel_events.extend(payload["kernel_events"])
+        # Re-seat the counter past the ids just claimed.
+        self._ids = itertools.count(len(self) + 1)
 
     # ------------------------------------------------------------------
     def _current_scope(self) -> str:

@@ -175,10 +175,10 @@ def test_read_write_conflict_reported():
 
 
 def test_happens_before_is_ancestor_test():
-    from repro.sim.sanitizer import use_sanitizer
+    from repro.sim.hooks import use_hooks
 
     sanitizer = RaceSanitizer()
-    with use_sanitizer(sanitizer):
+    with use_hooks(sanitizer):
         sim = Simulator()
 
         def parent():
@@ -226,9 +226,9 @@ def test_race_sanitizer_fixture_fails_on_races():
     # here we check the negative path manually (a fixture that fails in
     # teardown cannot be asserted on in-line).
     sanitizer = RaceSanitizer()
-    from repro.sim.sanitizer import use_sanitizer
+    from repro.sim.hooks import use_hooks
 
-    with use_sanitizer(sanitizer):
+    with use_hooks(sanitizer):
         sim = Simulator()
         model = sanitizer.watch(UnguardedModel(sim), attrs=("count",))
         sim.process(model.writer(10.0, 1), name="writer-a")

@@ -7,10 +7,22 @@ import pytest
 
 from repro.experiments import parallel, runner
 from repro.experiments.cli import main
-from repro.telemetry import SamplingConfig, Telemetry
+from repro.telemetry import SamplingConfig, Telemetry, TelemetrySpec
+from repro.telemetry.tracer import RecordingTracer, use_tracer
 
 #: Two workloads x two systems: enough cells for a jobs=4 sharding.
 SYSTEMS = ("Hetero", "DRAM-less")
+
+#: One cache-key capture per instrument turned on (and "none").
+CAPTURES = {
+    "none": TelemetrySpec(),
+    "metrics": TelemetrySpec(metrics=True),
+    "spans": TelemetrySpec(spans=True),
+    "kernel_events": TelemetrySpec(spans=True, kernel_events=True),
+    "sampling": TelemetrySpec(metrics=True, sampling=(500.0, None)),
+    "rewindowed": TelemetrySpec(metrics=True, sampling=(250.0, None)),
+    "hostprof": TelemetrySpec(hostprof=True),
+}
 
 
 def _canon(obj):
@@ -71,6 +83,44 @@ class TestParallelEquivalence:
         assert '"sketches"' in serial
 
     @pytest.mark.determinism
+    def test_sharded_cells_keep_kernel_events(self):
+        # Workers mirror the parent's tracer, kernel-event flag included.
+        def events(jobs):
+            tracer = RecordingTracer(record_kernel_events=True)
+            with use_tracer(tracer):
+                runner.run_matrix(runner.QUICK, ("Hetero",),
+                                  workloads=("gemver",), jobs=jobs)
+            return tracer.kernel_events
+
+        serial = events(1)
+        assert serial
+        assert events(2) == serial
+
+    def test_cli_sharded_telemetry_matches_serial(self, tmp_path, capsys):
+        def run(label, *extra):
+            spans = tmp_path / f"{label}.jsonl"
+            flame = tmp_path / f"{label}.collapsed"
+            assert main(["tables,fig12,fig15", "--quick", "--metrics",
+                         "--profile", "--spans", str(spans),
+                         "--hostprof", str(flame), *extra]) == 0
+            # Output paths and host times legitimately differ; of the
+            # host-profile summary only the census line must match.
+            body, _, host = capsys.readouterr().out.partition(
+                "\nhost profile:")
+            stdout = [line for line in body.splitlines()
+                      if str(tmp_path) not in line]
+            census = [line for line in host.splitlines()
+                      if line.startswith("  census:")]
+            return spans.read_bytes(), stdout, census
+
+        serial = run("serial")
+        sharded = run("sharded", "--jobs", "2")
+        assert sharded[0] == serial[0]
+        assert sharded[1] == serial[1]
+        assert len(serial[2]) == 1 and " 0 dispatches" not in serial[2][0]
+        assert sharded[2] == serial[2]
+
+    @pytest.mark.determinism
     def test_cli_results_are_byte_identical(self, tmp_path, monkeypatch,
                                             capsys):
         monkeypatch.setenv("REPRO_GIT_SHA", "0000test")
@@ -109,26 +159,25 @@ class TestResultCache:
 
     def test_key_depends_on_config(self):
         tree = "t" * 64
+        none = TelemetrySpec()
         quick = parallel.cell_key("matrix/gemver/Hetero", runner.QUICK,
-                                  (False, False, None), tree)
+                                  none, tree)
         other = dataclasses.replace(runner.QUICK, seed=2)
         assert parallel.cell_key("matrix/gemver/Hetero", other,
-                                 (False, False, None), tree) != quick
+                                 none, tree) != quick
         assert parallel.cell_key("matrix/gemver/DRAM-less", runner.QUICK,
-                                 (False, False, None), tree) != quick
+                                 none, tree) != quick
 
-    def test_key_depends_on_sampling_spec(self):
-        # A sampled rerun must never replay a cell cached without
-        # sampling (its fragments would carry no windowed series).
+    @pytest.mark.parametrize("instrument",
+                             [name for name in CAPTURES if name != "none"])
+    def test_key_depends_on_instrument(self, instrument):
+        # A rerun under other instruments must never replay a cell
+        # whose fragment lacks (or carries) some instrument's payload.
         tree = "t" * 64
-        plain = parallel.cell_key("matrix/gemver/Hetero", runner.QUICK,
-                                  (True, False, None), tree)
-        sampled = parallel.cell_key("matrix/gemver/Hetero", runner.QUICK,
-                                    (True, False, (500.0, None)), tree)
-        rewindowed = parallel.cell_key(
-            "matrix/gemver/Hetero", runner.QUICK,
-            (True, False, (250.0, None)), tree)
-        assert len({plain, sampled, rewindowed}) == 3
+        keys = {name: parallel.cell_key("matrix/gemver/Hetero",
+                                        runner.QUICK, capture, tree)
+                for name, capture in CAPTURES.items()}
+        assert list(keys.values()).count(keys[instrument]) == 1
 
     def test_key_depends_on_source_tree(self, tmp_path):
         (tmp_path / "a.py").write_text("x = 1\n")

@@ -6,7 +6,8 @@ import itertools
 
 from repro.analysis.racecheck import RaceSanitizer, format_races
 from repro.controller import MemoryRequest, Op, PramSubsystem
-from repro.sim import Simulator, use_hostprof, use_sampling, use_sanitizer
+from repro.sim import Simulator, current_hook_providers, use_hooks
+from repro.telemetry import Telemetry, TelemetrySpec
 from repro.telemetry.hostprof import HostProfiler
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.timeseries import SamplingConfig
@@ -41,13 +42,13 @@ def _drive(installed):
     with contextlib.ExitStack() as stack:
         stack.enter_context(use_metrics(registry))
         if "sanitizer" in installed:
-            stack.enter_context(use_sanitizer(sanitizer))
+            stack.enter_context(use_hooks(sanitizer))
         if "tracer" in installed:
             stack.enter_context(use_tracer(tracer))
         if "sampler" in installed:
-            stack.enter_context(use_sampling(SamplingConfig(WINDOW_NS)))
+            stack.enter_context(use_hooks(SamplingConfig(WINDOW_NS)))
         if "hostprof" in installed:
-            stack.enter_context(use_hostprof(profiler))
+            stack.enter_context(use_hooks(profiler))
         sim = Simulator()
         subsystem = PramSubsystem(sim)
         if "sanitizer" in installed:
@@ -108,3 +109,26 @@ def test_nothing_installed_leaves_the_kernel_unhooked():
     sim = Simulator()
     assert "_schedule" not in vars(sim)
     assert not getattr(sim, "_hooks", ())
+
+
+def test_nested_activation_does_not_double_a_hook():
+    telemetry = Telemetry.from_spec(TelemetrySpec(
+        metrics=True, sampling=(WINDOW_NS, None), hostprof=True))
+    with telemetry.activate():
+        outer = current_hook_providers()
+        with telemetry.activate(), use_hooks(telemetry.hostprof):
+            assert current_hook_providers() == outer
+            sim = Simulator()
+    assert outer == (telemetry.timeseries, telemetry.hostprof)
+    assert sim._hooks.count(telemetry.hostprof) == 1
+    assert len(sim._hooks) == 2
+
+
+def test_a_provider_shadows_its_own_class_only():
+    sanitizer, outer, inner = (RaceSanitizer(), HostProfiler(),
+                               HostProfiler())
+    with use_hooks(sanitizer, outer):
+        with use_hooks(inner):
+            assert current_hook_providers() == (sanitizer, inner)
+        assert current_hook_providers() == (sanitizer, outer)
+    assert current_hook_providers() == ()

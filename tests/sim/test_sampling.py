@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.sim import Simulator, use_sampling
-from repro.sim import KernelHook
-from repro.sim.sampling import current_sampling
+from repro.sim import KernelHook, Simulator, current_hook_providers
+from repro.sim import use_hooks
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.timeseries import Sampler, SamplingConfig
 
@@ -16,23 +15,23 @@ def _sampler(window_ns=10.0, retention=None):
 
 class TestAmbientProvider:
     def test_default_is_none(self):
-        assert current_sampling() is None
+        assert current_hook_providers() == ()
         assert Simulator().sampler is None
 
     def test_scope_installs_and_restores(self):
         config = SamplingConfig(window_ns=50.0)
-        with use_sampling(config):
-            assert current_sampling() is config
-        assert current_sampling() is None
+        with use_hooks(config):
+            assert current_hook_providers() == (config,)
+        assert current_hook_providers() == ()
 
     def test_no_registry_means_no_sampler(self):
         # Sampling without metrics costs nothing: the provider declines.
-        with use_sampling(SamplingConfig()):
+        with use_hooks(SamplingConfig()):
             assert Simulator().sampler is None
 
     def test_registry_plus_scope_mints_one_sampler_per_simulator(self):
         registry = MetricsRegistry()
-        with use_metrics(registry), use_sampling(SamplingConfig()):
+        with use_metrics(registry), use_hooks(SamplingConfig()):
             first, second = Simulator(), Simulator()
         assert isinstance(first.sampler, Sampler)
         assert isinstance(second.sampler, Sampler)
@@ -40,7 +39,7 @@ class TestAmbientProvider:
 
     def test_explicit_sampler_wins_over_ambient(self):
         sampler, _ = _sampler()
-        with use_metrics(MetricsRegistry()), use_sampling(SamplingConfig()):
+        with use_metrics(MetricsRegistry()), use_hooks(SamplingConfig()):
             assert Simulator(hooks=(sampler,)).sampler is sampler
 
     def test_sampler_is_a_kernel_hook(self):

@@ -1,16 +1,11 @@
-"""Unit tests for telemetry fragments (capture + deterministic merge)."""
+"""Unit tests for telemetry fragments: each instrument's ``to_payload``
+capture and its deterministic ``merge_payload``."""
 
 import pickle
 
 import pytest
 
 from repro.telemetry.bench import BenchMetric, BenchReport, merge_reports
-from repro.telemetry.fragments import (
-    capture_metrics,
-    capture_tracer,
-    merge_metrics,
-    merge_tracer,
-)
 from repro.sim import LatencySketch
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import RecordingTracer
@@ -33,26 +28,26 @@ def _worker_registry():
 
 class TestMetricsFragment:
     def test_roundtrip_is_picklable(self):
-        fragment = capture_metrics(_worker_registry())
-        clone = pickle.loads(pickle.dumps(fragment))
-        assert clone.prefixes == fragment.prefixes
-        assert clone.containers == fragment.containers
-        assert clone.gauges == fragment.gauges
+        payload = _worker_registry().to_payload()
+        clone = pickle.loads(pickle.dumps(payload))
+        assert clone["prefixes"] == payload["prefixes"]
+        assert clone["containers"] == payload["containers"]
+        assert clone["gauges"] == payload["gauges"]
 
     def test_prefix_replay_reproduces_serial_suffixes(self):
         # Two cells each reserved "subsys" locally; merged in cell
         # order they must land as subsys / subsys#2, like a serial run.
         target = MetricsRegistry()
-        merge_metrics(target, capture_metrics(_worker_registry()))
-        merge_metrics(target, capture_metrics(_worker_registry()))
+        target.merge_payload(_worker_registry().to_payload())
+        target.merge_payload(_worker_registry().to_payload())
         snap = target.snapshot()
         assert snap["subsys.requests"] == 3
         assert snap["subsys#2.requests"] == 3
 
     def test_shared_counters_accumulate(self):
         target = MetricsRegistry()
-        merge_metrics(target, capture_metrics(_worker_registry()))
-        merge_metrics(target, capture_metrics(_worker_registry()))
+        target.merge_payload(_worker_registry().to_payload())
+        target.merge_payload(_worker_registry().to_payload())
         assert target.snapshot()["sched.interleave.overlap_ns"] == 10
 
     def test_plain_gauges_overwrite_and_peaks_fold(self):
@@ -63,31 +58,31 @@ class TestMetricsFragment:
         second.gauge("plain", 2.0)
         second.gauge_max("peak", 4.0)
         target = MetricsRegistry()
-        merge_metrics(target, capture_metrics(first))
-        merge_metrics(target, capture_metrics(second))
+        target.merge_payload(first.to_payload())
+        target.merge_payload(second.to_payload())
         snap = target.snapshot()
         assert snap["plain"] == 2.0  # last cell wins, as in serial
         assert snap["peak"] == 9.0   # max across cells
 
     def test_histogram_samples_pool(self):
         target = MetricsRegistry()
-        merge_metrics(target, capture_metrics(_worker_registry()))
-        merge_metrics(target, capture_metrics(_worker_registry()))
+        target.merge_payload(_worker_registry().to_payload())
+        target.merge_payload(_worker_registry().to_payload())
         snap = target.snapshot()
         assert snap["subsys.latency_ns.count"] == 2
         assert snap["subsys#2.latency_ns.count"] == 2
 
     def test_merge_into_disabled_registry_is_a_noop(self):
         target = MetricsRegistry(enabled=False)
-        merge_metrics(target, capture_metrics(_worker_registry()))
+        target.merge_payload(_worker_registry().to_payload())
         assert target.snapshot() == {}
 
     def test_sketches_fold_bucket_wise(self):
         # Two cells' sketches merge by bucket addition; the merged
         # payload is byte-identical to sketching all samples serially.
         target = MetricsRegistry()
-        merge_metrics(target, capture_metrics(_worker_registry()))
-        merge_metrics(target, capture_metrics(_worker_registry()))
+        target.merge_payload(_worker_registry().to_payload())
+        target.merge_payload(_worker_registry().to_payload())
         serial = LatencySketch()
         for value in (10.0, 30.0):
             serial.add(value)
@@ -103,10 +98,10 @@ class TestMetricsFragment:
         light = MetricsRegistry()
         light.sketch("lat").add(2.0)
         ab, ba = MetricsRegistry(), MetricsRegistry()
-        merge_metrics(ab, capture_metrics(heavy))
-        merge_metrics(ab, capture_metrics(light))
-        merge_metrics(ba, capture_metrics(light))
-        merge_metrics(ba, capture_metrics(heavy))
+        ab.merge_payload(heavy.to_payload())
+        ab.merge_payload(light.to_payload())
+        ba.merge_payload(light.to_payload())
+        ba.merge_payload(heavy.to_payload())
         assert (ab.sketch("lat").to_payload()
                 == ba.sketch("lat").to_payload())
 
@@ -139,7 +134,7 @@ class TestTracerFragment:
         # reproduce that, not renumber spans and instants separately.
         target = RecordingTracer()
         target.emit("warmup", "t", 0.0, 1.0)  # consumes id 1
-        merge_tracer(target, capture_tracer(self._worker_tracer()))
+        target.merge_payload(self._worker_tracer().to_payload())
         assert [s.span_id for s in target.spans] == [1, 2, 4]
         assert [s.span_id for s in target.instants] == [3]
         # The target's counter continues past the claimed ids.
@@ -148,15 +143,15 @@ class TestTracerFragment:
 
     def test_merge_appends_commands_and_scopes(self):
         target = RecordingTracer()
-        merge_tracer(target, capture_tracer(self._worker_tracer()))
+        target.merge_payload(self._worker_tracer().to_payload())
         assert target.commands == ["cmd"]
         assert all(s.scope == "cell" for s in target.spans)
 
     def test_fragment_is_picklable(self):
-        fragment = capture_tracer(self._worker_tracer())
-        clone = pickle.loads(pickle.dumps(fragment))
-        assert clone.spans == fragment.spans
-        assert clone.instants == fragment.instants
+        payload = self._worker_tracer().to_payload()
+        clone = pickle.loads(pickle.dumps(payload))
+        assert clone["spans"] == payload["spans"]
+        assert clone["instants"] == payload["instants"]
 
 
 class TestMergeReports:

@@ -8,8 +8,9 @@ import pytest
 from repro.experiments import cli
 from repro.experiments.parallel import run_experiments_parallel
 from repro.experiments.runner import ExperimentConfig
-from repro.sim import Simulator
-from repro.sim.hostprof import current_hostprof, use_hostprof
+from repro.sim import Simulator, current_hook_providers
+from repro.sim.hostprof import use_hostprof
+from repro.telemetry import Telemetry, TelemetrySpec
 from repro.telemetry.__main__ import main as telemetry_main
 from repro.telemetry.bench import (
     BenchMetric,
@@ -21,7 +22,6 @@ from repro.telemetry.bench import (
     write_bench,
 )
 from repro.telemetry.dashboard import render_html
-from repro.telemetry.fragments import capture_hostprof, merge_hostprof
 from repro.telemetry.hostprof import (
     KERNEL_BUCKET,
     HostProfiler,
@@ -127,7 +127,7 @@ class TestAttribution:
         assert ambient.runs == 0
 
     def test_no_profiler_means_no_hook(self):
-        assert current_hostprof() is None
+        assert current_hook_providers() == ()
         sim = Simulator()
         assert sim._hooks == ()
 
@@ -197,10 +197,10 @@ class TestMergeAndFragments:
     def test_fragment_capture_and_merge(self):
         profiler = HostProfiler(clock=_stub_clock())
         _drive(profiler)
-        fragment = capture_hostprof(profiler)
-        assert len(fragment) == len(profiler.buckets)
+        payload = profiler.to_payload()
+        assert len(payload["buckets"]) == len(profiler.buckets)
         target = HostProfiler()
-        merge_hostprof(target, fragment)
+        target.merge_payload(payload)
         assert target.census() == profiler.census()
 
     def test_serial_and_sharded_census_identical(self):
@@ -208,11 +208,15 @@ class TestMergeAndFragments:
                                   workloads=("gemver", "doitg"))
         censuses = []
         for jobs in (1, 2):
-            profiler = HostProfiler()
-            with use_hostprof(profiler):
-                run_experiments_parallel(["fig12"], config, jobs=jobs)
-            censuses.append(profiler.census())
+            telemetry = Telemetry.from_spec(TelemetrySpec(hostprof=True))
+            with telemetry.activate():
+                run = run_experiments_parallel(["fig12"], config,
+                                               jobs=jobs)
+            for outcome in run.outcomes.values():
+                telemetry.merge(outcome.fragment)
+            censuses.append(telemetry.hostprof.census())
         assert censuses[0] == censuses[1]
+        assert sum(censuses[0]["dispatches"].values()) > 0
 
 
 class TestExports:

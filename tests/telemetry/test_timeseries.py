@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.controller import MemoryRequest, Op, PramSubsystem
-from repro.sim import Simulator, TimeSeries, use_sampling
+from repro.sim import Simulator, TimeSeries, use_hooks
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.session import Telemetry
 from repro.telemetry.timeseries import (
@@ -56,7 +56,7 @@ class TestTimeWeightedTracker:
 def _sampled_run(window_ns=500.0):
     """One PRAM read stream sampled into a fresh registry."""
     registry = MetricsRegistry()
-    with use_metrics(registry), use_sampling(SamplingConfig(window_ns)):
+    with use_metrics(registry), use_hooks(SamplingConfig(window_ns)):
         sim = Simulator()
         assert isinstance(sim.sampler, Sampler)
         subsystem = PramSubsystem(sim)
