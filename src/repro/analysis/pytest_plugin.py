@@ -15,6 +15,11 @@ Registered from the repository-root ``conftest.py``.  Provides:
   on the kernel tie-break — exactly the dependence the sharded
   parallel runner is not allowed to see.  Like ``determinism``,
   the body must build its own simulator.
+
+  Each execution of a marked test is a full setup/call/teardown cycle,
+  so every run gets fresh function-scoped fixtures (an empty
+  ``capsys``, a new ``tmp_path``).  The first execution that fails (or
+  skips) is the one reported; otherwise the last one is.
 * ``protocol_monitor`` fixture — a recording
   :class:`~repro.analysis.conformance.ProtocolChecker` that fails the
   test at teardown if any observed command violated the three-phase
@@ -28,9 +33,12 @@ Registered from the repository-root ``conftest.py``.  Provides:
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import typing
 
 import pytest
+from _pytest.runner import runtestprotocol
 
 from repro.analysis.conformance import ProtocolChecker
 from repro.analysis.determinism import DeterminismError, capture_trace, diff_traces
@@ -53,43 +61,85 @@ def pytest_configure(config: typing.Any) -> None:
     )
 
 
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item: typing.Any) -> typing.Iterator[None]:
+#: What one execution of a marked test calls its body in.
+_Context = typing.Callable[[], typing.ContextManager[None]]
+
+#: The context of the execution under way.
+_EXECUTION = pytest.StashKey[_Context]()
+
+
+def _executions(item: typing.Any) -> typing.List[_Context]:
+    """One call context per execution of ``item`` (none if unmarked)."""
     determinism = item.get_closest_marker("determinism")
     shuffle = item.get_closest_marker("tiebreak_shuffle")
-    if determinism is None and shuffle is None:
-        yield
-        return
+    executions: typing.List[_Context] = []
     if determinism is not None:
-        with capture_trace() as first:
-            outcome = yield  # the normal (first) execution of the test
-        if outcome.excinfo is not None:
-            return  # already failing; don't pile a second run on top
-        with capture_trace() as second:
-            item.runtest()
-        problem = diff_traces(first, second)
-        if problem is not None:
-            raise DeterminismError(
-                f"{item.nodeid} is nondeterministic: {problem}")
-    else:
-        outcome = yield  # the normal FIFO-order execution
-        if outcome.excinfo is not None:
-            return
-    if shuffle is None:
-        return
-    runs = int(shuffle.kwargs.get("runs", 3))
-    base_seed = int(shuffle.kwargs.get("seed", 0))
-    for offset in range(runs):
-        seed = base_seed + offset + 1
-        try:
-            with use_tiebreak(seed):
-                item.runtest()
-        except Exception as exc:
-            raise AssertionError(
-                f"{item.nodeid} passes under FIFO tie-break order but "
-                f"fails under same-timestamp shuffle seed {seed}: the "
-                "test (or the code it drives) depends on the kernel "
-                f"tie-break — {exc!r}") from exc
+        traces: typing.List[typing.Any] = []
+
+        @contextlib.contextmanager
+        def traced() -> typing.Iterator[None]:
+            with capture_trace() as trace:
+                yield
+            traces.append(trace)
+            if len(traces) == 2:
+                problem = diff_traces(*traces)
+                if problem is not None:
+                    raise DeterminismError(
+                        f"{item.nodeid} is nondeterministic: {problem}")
+
+        executions += [traced, traced]
+    elif shuffle is not None:
+        executions.append(contextlib.nullcontext)  # the FIFO-order run
+    if shuffle is not None:
+        runs = int(shuffle.kwargs.get("runs", 3))
+        base_seed = int(shuffle.kwargs.get("seed", 0))
+        executions += [functools.partial(_shuffled, item, base_seed + offset + 1)
+                       for offset in range(runs)]
+    return executions
+
+
+@contextlib.contextmanager
+def _shuffled(item: typing.Any, seed: int) -> typing.Iterator[None]:
+    try:
+        with use_tiebreak(seed):
+            yield
+    except Exception as exc:
+        raise AssertionError(
+            f"{item.nodeid} passes under FIFO tie-break order but "
+            f"fails under same-timestamp shuffle seed {seed}: the "
+            "test (or the code it drives) depends on the kernel "
+            f"tie-break — {exc!r}") from exc
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_protocol(item: typing.Any,
+                            nextitem: typing.Any) -> typing.Optional[bool]:
+    executions = _executions(item)
+    if not executions:
+        return None
+    item.ihook.pytest_runtest_logstart(nodeid=item.nodeid,
+                                       location=item.location)
+    reports: typing.List[typing.Any] = []
+    try:
+        for execution in executions:
+            item.stash[_EXECUTION] = execution
+            reports = runtestprotocol(item, log=False, nextitem=nextitem)
+            if not all(report.passed for report in reports):
+                break  # failed or skipped: report this execution
+    finally:
+        del item.stash[_EXECUTION]
+    for report in reports:
+        item.ihook.pytest_runtest_logreport(report=report)
+    item.ihook.pytest_runtest_logfinish(nodeid=item.nodeid,
+                                        location=item.location)
+    return True
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item: typing.Any
+                        ) -> typing.Generator[None, None, None]:
+    with item.stash.get(_EXECUTION, contextlib.nullcontext)():
+        return (yield)
 
 
 @pytest.fixture

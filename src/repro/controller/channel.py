@@ -40,7 +40,6 @@ from repro.pram.module import PramModule
 from repro.pram.overlay_window import CMD_RETRY_PROGRAM, CMD_SELECTIVE_ERASE
 from repro.sim import Counter, Histogram, LatencySketch, Resource, Simulator
 from repro.telemetry.metrics import current_metrics
-from repro.telemetry.timeseries import Sampler, TimeWeightedTracker
 
 #: One hinted pre-reset target: (row address, chunk bytes, hint time).
 _HintChunk = typing.Tuple[PramAddress, int, float]
@@ -177,20 +176,19 @@ class ChannelController:
                 f"{self._metrics_prefix}.pairs_in_use")
             metrics.gauge(f"{self._metrics_prefix}.pair_capacity",
                           float(pair_count * len(self.modules)))
+            sampler = sim.sampler
+            if sampler is not None:
+                # Windowed RAB/RDB pair occupancy: the series' time-
+                # weighted mean per sampling window.
+                sampler.watch_level(
+                    f"{self._metrics_prefix}.window.pairs_in_use",
+                    self._pairs_series)
         else:
             self._overlap_counter = None
             self._skip_counters = None
             self._bus_counter = None
             self._pairs_series = None
         self._pairs_in_use = 0
-        # Windowed RAB/RDB pair occupancy (time-weighted mean per
-        # sampling window) — present only under an active sampler.
-        self._pairs_tracker: TimeWeightedTracker | None = None
-        if metrics.enabled:
-            sampler = sim.sampler
-            if isinstance(sampler, Sampler):
-                self._pairs_tracker = sampler.track(
-                    f"{self._metrics_prefix}.window.pairs_in_use")
         self._telemetry_on = metrics.enabled or sim.tracer.enabled
         self._bus_track = f"ch{channel_id}.bus"
 
@@ -311,8 +309,6 @@ class ChannelController:
             self._pairs_in_use += 1
             self._pairs_series.record(self.sim.now,
                                       float(self._pairs_in_use))
-            if self._pairs_tracker is not None:
-                self._pairs_tracker.adjust(self.sim.now, 1.0)
         busy = self._busy_pairs[chunk.address.module]
         # No yield between the grant above and the add below, so the
         # probe and the reservation are atomic under cooperative
@@ -331,8 +327,6 @@ class ChannelController:
                 self._pairs_in_use -= 1
                 self._pairs_series.record(self.sim.now,
                                           float(self._pairs_in_use))
-                if self._pairs_tracker is not None:
-                    self._pairs_tracker.adjust(self.sim.now, -1.0)
         return data
 
     def _issue_read_phases(self, chunk: ChunkPlan, module: PramModule,

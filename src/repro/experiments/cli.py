@@ -375,8 +375,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         metrics=bool(want_spans or args.metrics
                      or args.timeseries is not None),
         spans=want_spans,
-        sampling=((args.window, None)
-                  if args.timeseries is not None else None),
+        sampling=args.window if args.timeseries is not None else None,
         hostprof=args.hostprof is not None)
     # One bundle for every instrument: serial runs feed it through the
     # hooks; sharded runs merge each worker's fragment into it.

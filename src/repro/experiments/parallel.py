@@ -54,7 +54,8 @@ from repro.telemetry.session import Fragment, Telemetry, TelemetrySpec
 #: 3: capture tuple + CellOutcome gained the host-profiling fragment.
 #: 4: the capture is a TelemetrySpec (kernel events included) and
 #:    CellOutcome is ``(payload, fragment)``.
-CACHE_SCHEMA = 4
+#: 5: the capture's sampling spec is the window width alone.
+CACHE_SCHEMA = 5
 
 #: Default cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"

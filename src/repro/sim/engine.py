@@ -94,8 +94,8 @@ class Simulator:
         self._sanitizer: KernelSanitizer | None = next(
             (hook for hook in self._hooks
              if isinstance(hook, KernelSanitizer)), None)
-        # The window sampler components register trackers with.
-        self.sampler: KernelHook | None = next(
+        # The window sampler components hand their levels to.
+        self.sampler: WindowSampler | None = next(
             (hook for hook in self._hooks
              if isinstance(hook, WindowSampler)), None)
         if self._hooks:

@@ -10,15 +10,22 @@ from __future__ import annotations
 
 import typing
 
+from repro.sim.stats import TimeSeries
+
 
 @typing.runtime_checkable
 class WindowSampler(typing.Protocol):
-    """The hook components register windowed trackers with.
+    """The hook components hand their levels to.
 
     :attr:`Simulator.sampler <repro.sim.engine.Simulator>` is the first
-    bound hook that has a ``track`` method.
+    bound hook that has these methods.
     """
 
-    def track(self, path: str) -> typing.Any:
-        """A level tracker whose per-window means land at ``path``."""
+    def watch_level(self, path: str, level: TimeSeries) -> None:
+        """Record ``level``'s time-weighted mean per window at ``path``."""
+        ...
+
+    def watch_gauge(self, path: str,
+                    read: typing.Callable[[], float]) -> None:
+        """Sample ``read()`` at every window boundary into ``path``."""
         ...

@@ -167,12 +167,6 @@ class TimeSeries:
         area += level * (end - cursor)
         return area / (end - start)
 
-    def integral(self, start: float, end: float) -> float:
-        """Area under the step function over [start, end)."""
-        if end <= start:
-            return 0.0
-        return self.time_weighted_mean(start, end) * (end - start)
-
     def resample(self, start: float, end: float,
                  buckets: int) -> typing.List[typing.Tuple[float, float]]:
         """Bucketed (midpoint time, mean value) pairs over [start, end)."""

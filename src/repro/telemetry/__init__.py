@@ -56,7 +56,6 @@ from repro.telemetry.timeseries import (  # noqa: E402
     TIMESERIES_SCHEMA,
     Sampler,
     SamplingConfig,
-    TimeWeightedTracker,
     export_document,
     load_timeseries,
     render_watch,
@@ -75,17 +74,6 @@ from repro.telemetry.profile import (  # noqa: E402
     attribute_requests,
     summarize,
     verify_attribution,
-)
-
-from repro.telemetry.gauges import (  # noqa: E402
-    IntervalGauge,
-    LittlesLawCheck,
-    TrackUtilization,
-    capture_window,
-    littles_law,
-    request_depth_series,
-    track_gauges,
-    utilization_table,
 )
 
 from repro.telemetry.bench import (  # noqa: E402
@@ -136,9 +124,7 @@ __all__ = [
     "DEFAULT_WINDOW_NS",
     "ExperimentProfile",
     "HostProfiler",
-    "IntervalGauge",
     "KernelEventRecorder",
-    "LittlesLawCheck",
     "MetricDelta",
     "MetricsRegistry",
     "MultiTracer",
@@ -153,13 +139,10 @@ __all__ = [
     "TIMESERIES_SCHEMA",
     "Telemetry",
     "TelemetrySpec",
-    "TimeWeightedTracker",
     "Tracer",
-    "TrackUtilization",
     "attribute_requests",
     "bench_filename",
     "build_profile",
-    "capture_window",
     "classify_event",
     "clear_attestations",
     "collapsed_stacks",
@@ -169,7 +152,6 @@ __all__ = [
     "current_metrics",
     "current_tracer",
     "export_document",
-    "littles_law",
     "load_bench",
     "load_hostprof",
     "load_spanlog",
@@ -186,7 +168,6 @@ __all__ = [
     "render_summary",
     "render_text",
     "render_watch",
-    "request_depth_series",
     "spanlog_lines",
     "spanlog_spans",
     "sparkline",
@@ -194,10 +175,8 @@ __all__ = [
     "stamp_provenance",
     "summarize",
     "supports_unicode",
-    "track_gauges",
     "use_metrics",
     "use_tracer",
-    "utilization_table",
     "validate_perfetto",
     "validate_speedscope",
     "validate_timeseries",

@@ -143,42 +143,26 @@ def _use_ascii(args: argparse.Namespace) -> bool:
     return bool(args.force_ascii) or not supports_unicode()
 
 
-def _run_watch(args: argparse.Namespace) -> int:
+def _render(path: str, load: typing.Callable[[str], typing.Any],
+            validate: typing.Callable[[typing.Any], typing.List[str]],
+            render: typing.Callable[[typing.Any], str], what: str) -> int:
+    """Load, schema-check and print one exported document (``watch``,
+    ``flame``); an unreadable or invalid document exits 1."""
     try:
-        document = load_timeseries(args.results)
+        document = load(path)
     except (OSError, json.JSONDecodeError, ValueError) as error:
-        print(f"unreadable time-series document: {error}", file=sys.stderr)
+        print(f"unreadable {what}: {error}", file=sys.stderr)
         return 1
-    problems = validate_timeseries(document)
+    problems = validate(document)
     if problems:
         for problem in problems:
-            print(f"{args.results}: {problem}", file=sys.stderr)
+            print(f"{path}: {problem}", file=sys.stderr)
         return 1
     try:
-        print(render_watch(document, width=args.width, heat=args.heat,
-                           ascii_=_use_ascii(args)))
+        print(render(document))
     except BrokenPipeError:
         # Piped into `head` and the reader closed early; exit quietly
         # (redirect stdout so the interpreter's exit flush stays calm).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
-
-
-def _run_flame(args: argparse.Namespace) -> int:
-    try:
-        document = load_hostprof(args.profile)
-    except (OSError, json.JSONDecodeError, ValueError) as error:
-        print(f"unreadable host profile: {error}", file=sys.stderr)
-        return 1
-    problems = validate_speedscope(document)
-    if problems:
-        for problem in problems:
-            print(f"{args.profile}: {problem}", file=sys.stderr)
-        return 1
-    try:
-        print(render_flame(document, top=args.top, width=args.width,
-                           ascii_=_use_ascii(args)))
-    except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
@@ -241,9 +225,19 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     if args.command == "merge":
         return _run_merge(args)
     if args.command == "watch":
-        return _run_watch(args)
+        return _render(
+            args.results, load_timeseries, validate_timeseries,
+            lambda document: render_watch(
+                document, width=args.width, heat=args.heat,
+                ascii_=_use_ascii(args)),
+            "time-series document")
     if args.command == "flame":
-        return _run_flame(args)
+        return _render(
+            args.profile, load_hostprof, validate_speedscope,
+            lambda document: render_flame(
+                document, top=args.top, width=args.width,
+                ascii_=_use_ascii(args)),
+            "host profile")
     problems: typing.List[str] = []
     try:
         with open(args.trace, encoding="utf-8") as handle:

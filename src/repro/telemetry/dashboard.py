@@ -1,9 +1,9 @@
 """Per-experiment profile reports: terminal tables and standalone HTML.
 
 :func:`build_profile` folds one experiment's span capture through the
-attribution pass (:mod:`repro.telemetry.profile`) and the utilization
-gauges (:mod:`repro.telemetry.gauges`) into a single
-:class:`ExperimentProfile`; :func:`render_text` prints it for
+attribution pass (:mod:`repro.telemetry.profile`), a busy-time table of
+the hardware tracks and a Little's-law check of the request queue into
+a single :class:`ExperimentProfile`; :func:`render_text` prints it for
 ``repro-experiments --profile`` and :func:`render_html` writes the
 ``--report`` dashboard — a single self-contained file (inline CSS, no
 external assets) that CI can upload as an artifact.
@@ -13,12 +13,45 @@ from __future__ import annotations
 
 import dataclasses
 import html
+import math
 import typing
 
-from repro.sim.stats import Histogram
-from repro.telemetry import gauges as gauges_mod
+from repro.sim.stats import Histogram, TimeSeries
 from repro.telemetry import profile as profile_mod
 from repro.telemetry.tracer import Span
+
+#: Tracks of overlapping in-flight work, not an exclusive resource
+#: (with every ``*.inflight`` track); busy% is meaningless for them.
+_QUEUE_TRACKS = frozenset({"requests", "psc"})
+
+
+@dataclasses.dataclass
+class TrackUtilization:
+    """One hardware lane's occupancy over the capture window."""
+
+    track: str
+    busy_ns: float
+    utilization: float
+    span_count: int
+
+
+@dataclasses.dataclass
+class LittlesLawCheck:
+    """L = λ·W cross-check between queue depth and measured latency."""
+
+    mean_depth: float           # L: time-weighted in-flight requests
+    predicted_depth: float      # λ·W: completions per ns x mean latency
+
+    @property
+    def ratio(self) -> float:
+        """L / (λ·W); 1.0 when the telemetry is self-consistent."""
+        if self.predicted_depth == 0.0:
+            return 1.0 if self.mean_depth == 0.0 else math.inf
+        return self.mean_depth / self.predicted_depth
+
+    def consistent(self, tolerance: float = 1e-6) -> bool:
+        """Does Little's law hold within ``tolerance``?"""
+        return abs(self.ratio - 1.0) <= tolerance
 
 
 @dataclasses.dataclass
@@ -29,8 +62,8 @@ class ExperimentProfile:
     window_ns: float
     attributions: typing.List[profile_mod.RequestAttribution]
     summary: profile_mod.AttributionSummary
-    utilization: typing.List[gauges_mod.TrackUtilization]
-    littles: gauges_mod.LittlesLawCheck | None
+    utilization: typing.List[TrackUtilization]
+    littles: LittlesLawCheck | None
     invariant_problems: typing.List[str]
     latency_quantiles: typing.Dict[str, float] = \
         dataclasses.field(default_factory=dict)
@@ -54,23 +87,103 @@ class ExperimentProfile:
                 / self.summary.total_latency_ns)
 
 
+def _merged_length(
+        intervals: typing.Iterable[typing.Tuple[float, float]]) -> float:
+    """Total length of the union of (start, end) intervals."""
+    ordered = sorted((lo, hi) for lo, hi in intervals if hi > lo)
+    if not ordered:
+        return 0.0
+    pieces: typing.List[float] = []
+    merged_lo, merged_hi = ordered[0]
+    for lo, hi in ordered[1:]:
+        if lo > merged_hi:
+            pieces.append(merged_hi - merged_lo)
+            merged_lo, merged_hi = lo, hi
+        else:
+            merged_hi = max(merged_hi, hi)
+    pieces.append(merged_hi - merged_lo)
+    return math.fsum(pieces)
+
+
+def _busiest_tracks(spans: typing.Sequence[Span],
+                    window_ns: float) -> typing.List[TrackUtilization]:
+    """Per-track union busy time over ``[0, window_ns]``, busiest first
+    (queue-like tracks are left out: their spans overlap by design)."""
+    intervals: typing.Dict[str, typing.List[typing.Tuple[float, float]]] = {}
+    for span in spans:
+        if (span.asynchronous or span.track in _QUEUE_TRACKS
+                or span.track.endswith(".inflight")):
+            continue
+        if not span.start_ns <= span.end_ns:  # NaN fails this too
+            raise ValueError(f"span {span.name!r} on {span.track!r} runs "
+                             f"backwards: {span.start_ns} -> {span.end_ns}")
+        intervals.setdefault(span.track, []).append(
+            (span.start_ns, span.end_ns))
+    table = []
+    for track, busy_spans in intervals.items():
+        busy = _merged_length(busy_spans)
+        table.append(TrackUtilization(
+            track=track, busy_ns=busy,
+            utilization=busy / window_ns if window_ns > 0 else 0.0,
+            span_count=len(busy_spans)))
+    table.sort(key=lambda row: (-row.utilization, row.track))
+    return table
+
+
+def _request_depth_series(requests: typing.Sequence[Span]) -> TimeSeries:
+    """In-flight request depth as a step series (completions sort
+    before submissions at one instant: a handoff shows no spike)."""
+    deltas = sorted([(span.start_ns, 1) for span in requests]
+                    + [(span.end_ns, -1) for span in requests])
+    series = TimeSeries("requests.depth")
+    depth = 0
+    for time, delta in deltas:
+        depth += delta
+        series.record(time, float(depth))
+    return series
+
+
+def _littles_law(spans: typing.Sequence[Span]) -> LittlesLawCheck | None:
+    """L = λ·W over the request spans; ``None`` when there are none or
+    they span no time (a zero-duration run has nothing to check)."""
+    requests = [span for span in spans
+                if span.track == "requests" and span.asynchronous]
+    if not requests:
+        return None
+    start = min(span.start_ns for span in requests)
+    end = max(span.end_ns for span in requests)
+    if end <= start:
+        return None
+    latencies = [span.end_ns - span.start_ns for span in requests]
+    mean_latency = math.fsum(latencies) / len(latencies)
+    throughput = len(latencies) / (end - start)
+    return LittlesLawCheck(
+        mean_depth=_request_depth_series(requests).time_weighted_mean(
+            start, end),
+        predicted_depth=throughput * mean_latency)
+
+
 def build_profile(name: str, spans: typing.Sequence[Span],
                   overlap_total_ns: float | None = None
                   ) -> ExperimentProfile:
-    """Attribute, gauge, and invariant-check one experiment's capture."""
+    """Attribute, gauge, and invariant-check one experiment's capture.
+
+    The capture window is ``[0, latest span end]``: simulations start
+    at t=0, so a track's utilization is its share of the run.
+    """
     attributions = profile_mod.attribute_requests(spans)
     summary = profile_mod.summarize(attributions)
-    window = gauges_mod.capture_window(spans)
+    window_ns = max((span.end_ns for span in spans), default=0.0)
     latencies = Histogram("profile.latency")
     for attribution in attributions:
         latencies.add(attribution.latency_ns)
     return ExperimentProfile(
         name=name,
-        window_ns=window[1] - window[0],
+        window_ns=window_ns,
         attributions=attributions,
         summary=summary,
-        utilization=gauges_mod.utilization_table(spans, window),
-        littles=gauges_mod.littles_law(spans),
+        utilization=_busiest_tracks(spans, window_ns),
+        littles=_littles_law(spans),
         invariant_problems=profile_mod.verify_attribution(
             attributions, overlap_total_ns),
         latency_quantiles=latencies.quantiles(),

@@ -537,25 +537,21 @@ def render_flame(document: typing.Dict[str, typing.Any], top: int = 20,
     total = sum(weight for _, weight in rows)
     glyph = _BAR_ASCII if ascii_ else _BAR
     dash = "-" if ascii_ else "—"
-    unit = profile.get("unit", "units")
+    fmt: typing.Callable[[float], str] = (
+        _fmt_host_ns if profile.get("unit") == "nanoseconds" else str)
     lines = [f"hostprof: {document.get('name', '?')} {dash} "
-             f"{_fmt_host_ns(total) if unit == 'nanoseconds' else total} "
-             f"over {len(rows)} bucket(s)"]
+             f"{fmt(total)} over {len(rows)} bucket(s)"]
     shown = rows[:top]
     label_width = max((len(label) for label, _ in shown), default=5)
     for label, weight in shown:
         share = weight / total if total else 0.0
         bar = glyph * max(1, round(share * width))
-        amount = (_fmt_host_ns(weight) if unit == "nanoseconds"
-                  else str(weight))
-        lines.append(f"  {label:<{label_width}}  {amount:>11}  "
+        lines.append(f"  {label:<{label_width}}  {fmt(weight):>11}  "
                      f"{share:6.1%}  {bar}")
     dropped = len(rows) - len(shown)
     if dropped > 0:
         rest = sum(weight for _, weight in rows[top:])
-        rest_label = (_fmt_host_ns(rest) if unit == "nanoseconds"
-                      else str(rest))
-        lines.append(f"  ... {dropped} more bucket(s), {rest_label}")
+        lines.append(f"  ... {dropped} more bucket(s), {fmt(rest)}")
     return "\n".join(lines)
 
 

@@ -49,8 +49,8 @@ class TelemetrySpec(typing.NamedTuple):
     metrics: bool = False
     spans: bool = False
     kernel_events: bool = False
-    #: ``(window_ns, retention)`` of the sampler, or ``None``.
-    sampling: typing.Optional[typing.Tuple[float, typing.Optional[int]]] = None
+    #: The sampler's window width in ns, or ``None``.
+    sampling: typing.Optional[float] = None
     hostprof: bool = False
 
 
@@ -70,7 +70,7 @@ class Telemetry:
     def from_spec(cls, spec: TelemetrySpec) -> "Telemetry":
         """A fresh bundle recording exactly what ``spec`` names."""
         bundle = cls(record_spans=spec.spans,
-                     timeseries=(SamplingConfig(*spec.sampling)
+                     timeseries=(SamplingConfig(spec.sampling)
                                  if spec.sampling is not None else None))
         bundle.tracer.record_kernel_events = spec.kernel_events
         if not spec.metrics:
@@ -102,7 +102,7 @@ class Telemetry:
             spans=self.record_spans,
             kernel_events=(self.record_spans
                            and self.tracer.record_kernel_events),
-            sampling=(self.timeseries.spec()
+            sampling=(self.timeseries.window_ns
                       if self.timeseries is not None else None),
             hostprof=self.hostprof is not None)
 

@@ -1,8 +1,7 @@
 """Windowed time-series sampling on *simulated* time.
 
-Everything the stack reported before this module was an end-of-run
-aggregate; transient behavior — queue buildup, write-pause stalls,
-burst absorption — was invisible.  This module adds the time axis:
+Transient behavior — queue buildup, write-pause stalls, burst
+absorption — needs a time axis, not end-of-run aggregates:
 
 * :class:`SamplingConfig` is the hook provider installed with
   :func:`repro.sim.hooks.use_hooks` (a :class:`~repro.telemetry.Telemetry`
@@ -16,9 +15,9 @@ burst absorption — was invisible.  This module adds the time axis:
   containers — so sharded runs merge byte-identically through
   :meth:`~repro.telemetry.metrics.MetricsRegistry.merge_payload` with
   no extra machinery.
-* :class:`TimeWeightedTracker` turns instantaneous level changes
-  (queue depth, pairs in use, awake PEs) into per-window time-weighted
-  means.
+* A level (queue depth, pairs in use, awake PEs) is recorded once, as
+  the step series its component writes; :meth:`Sampler.watch_level`
+  reduces it to per-window time-weighted means.
 
 Window semantics
 ----------------
@@ -28,14 +27,9 @@ calls :meth:`Sampler.before_instant` with each event timestamp
 boundary belongs to the window that *starts* there.  Window samples
 are recorded at the window's start time.  Boundaries are computed from
 an integer window index (``(k+1) * w``), never by repeated addition, so
-long runs do not drift.  A partial final window (the run ends between boundaries) is
-**dropped** — it would average over less simulated time than every
-other sample and skew plots; run with ``until=`` landing on a boundary
-to flush it.
-
-With ``retention = R``, each series keeps only its most recent ``R``
-windows (a bounded ring for long service-layer runs); ``None`` retains
-everything.
+long runs do not drift.  A partial final window (the run ends between
+boundaries) is **dropped** — it would average over less simulated time
+than every other sample; run with ``until=`` on a boundary to flush it.
 """
 
 from __future__ import annotations
@@ -58,82 +52,54 @@ TIMESERIES_SCHEMA = "repro.timeseries/1"
 DEFAULT_WINDOW_NS = 1000.0
 
 
-class TimeWeightedTracker:
-    """Per-window time-weighted mean of an instantaneous level.
+class _LevelCursor:
+    """Reads one watched level window by window from where it stopped,
+    so an idle window costs two compares.  Each mean is computed as
+    :meth:`TimeSeries.time_weighted_mean` computes it, so they are equal."""
 
-    Components report *level changes* (:meth:`set_level` /
-    :meth:`adjust`) at the current simulated time; the owning
-    :class:`Sampler` closes each window and records the level's
-    time-weighted mean over it.  The engine advances the sampler before
-    event callbacks run, so every update arrives inside the currently
-    open window — the tracker never has to split an update across
-    boundaries.
-    """
+    __slots__ = ("out", "level", "index", "value")
 
-    def __init__(self, series: TimeSeries) -> None:
-        self.series = series
-        self._level = 0.0
-        self._area = 0.0
-        self._cursor = 0.0
+    def __init__(self, out: TimeSeries, level: TimeSeries) -> None:
+        self.out, self.level = out, level
+        self.index, self.value = 0, 0.0
 
-    @property
-    def level(self) -> float:
-        """The current instantaneous level."""
-        return self._level
-
-    def set_level(self, now: float, level: float) -> None:
-        """The level changed to ``level`` at simulated time ``now``."""
-        if now > self._cursor:
-            self._area += self._level * (now - self._cursor)
-            self._cursor = now
-        self._level = level
-
-    def adjust(self, now: float, delta: float) -> None:
-        """The level changed by ``delta`` at simulated time ``now``."""
-        self.set_level(now, self._level + delta)
-
-    def close(self, start: float, end: float) -> float:
-        """Finish the window ``[start, end)``; returns its mean level."""
-        self._area += self._level * (end - self._cursor)
-        mean = self._area / (end - start)
-        self._area = 0.0
-        self._cursor = end
-        return mean
+    def mean(self, start: float, end: float) -> float:
+        """The level's time-weighted mean over ``[start, end)``."""
+        times, values = self.level.times, self.level.values
+        index, value, count = self.index, self.value, len(times)
+        while index < count and times[index] <= start:
+            value = values[index]
+            index += 1
+        area, cursor = 0.0, start
+        while index < count and times[index] < end:
+            area += value * (times[index] - cursor)
+            cursor, value = times[index], values[index]
+            index += 1
+        self.index, self.value = index, value
+        area += value * (end - cursor)
+        return area / (end - start)
 
 
 class Sampler(KernelHook):
-    """Engine-driven window closer for one simulator (a kernel hook).
+    """Engine-driven window closer for one simulator (a kernel hook);
+    samples land in registry series, so merge and export see metrics."""
 
-    Instruments register through :meth:`track` (time-weighted levels)
-    and :meth:`watch_gauge` (boundary-sampled callables).  Samples land
-    in registry series at the supplied dotted paths, so everything
-    downstream — snapshots, payload merge, export — sees them as
-    ordinary metrics.
-    """
-
-    def __init__(self, registry: MetricsRegistry, window_ns: float,
-                 retention: typing.Optional[int] = None) -> None:
+    def __init__(self, registry: MetricsRegistry, window_ns: float) -> None:
         if not window_ns > 0 or math.isinf(window_ns):
             raise ValueError(f"window must be positive/finite, got {window_ns}")
-        if retention is not None and retention < 1:
-            raise ValueError(f"retention must be >= 1, got {retention}")
         self.window_ns = window_ns
-        self.retention = retention
         self._registry = registry
         self._window_index = 0
         self._next_boundary = window_ns
-        self._trackers: typing.List[
-            typing.Tuple[TimeSeries, TimeWeightedTracker]] = []
+        self._levels: typing.List[_LevelCursor] = []
         self._watches: typing.List[
             typing.Tuple[TimeSeries, typing.Callable[[], float]]] = []
 
     # -- instrument registration ---------------------------------------
-    def track(self, path: str) -> TimeWeightedTracker:
-        """A tracker whose per-window means land at ``path``."""
-        series = self._registry.series(path)
-        tracker = TimeWeightedTracker(series)
-        self._trackers.append((series, tracker))
-        return tracker
+    def watch_level(self, path: str, level: TimeSeries) -> None:
+        """Record the time-weighted mean per window of ``level`` (a step
+        series its owner records each change into) at ``path``."""
+        self._levels.append(_LevelCursor(self._registry.series(path), level))
 
     def watch_gauge(self, path: str,
                     read: typing.Callable[[], float]) -> None:
@@ -155,12 +121,10 @@ class Sampler(KernelHook):
         while self._next_boundary <= now:
             start = self._window_index * window_ns
             end = self._next_boundary
-            for series, tracker in self._trackers:
-                series.record(start, tracker.close(start, end))
-                self._trim(series)
+            for level in self._levels:
+                level.out.record(start, level.mean(start, end))
             for series, read in self._watches:
                 series.record(start, read())
-                self._trim(series)
             self._window_index += 1
             self._next_boundary = (self._window_index + 1) * window_ns
 
@@ -170,39 +134,26 @@ class Sampler(KernelHook):
         if until is not None:
             self.before_instant(until)
 
-    def _trim(self, series: TimeSeries) -> None:
-        retention = self.retention
-        if retention is not None and len(series.times) > retention:
-            del series.times[:-retention]
-            del series.values[:-retention]
-
 
 class SamplingConfig:
-    """Hook provider: one sampling policy, one sampler per simulator.
+    """Hook provider: one sampling window, one sampler per simulator.
 
-    Install with :func:`repro.sim.hooks.use_hooks`; simulators built
-    inside the scope sample into the ambient metrics registry.
-    ``create_hook`` returns ``None`` when metrics are disabled, so a
-    sampling scope without a registry costs nothing.
+    Simulators built inside a :func:`repro.sim.hooks.use_hooks` scope
+    sample into the ambient metrics registry; without one enabled,
+    ``create_hook`` declines, so the scope costs nothing.
     """
 
-    def __init__(self, window_ns: float = DEFAULT_WINDOW_NS,
-                 retention: typing.Optional[int] = None) -> None:
+    def __init__(self, window_ns: float = DEFAULT_WINDOW_NS) -> None:
         if not window_ns > 0 or math.isinf(window_ns):
             raise ValueError(f"window must be positive/finite, got {window_ns}")
         self.window_ns = window_ns
-        self.retention = retention
 
     def create_hook(self) -> typing.Optional[Sampler]:
         """A fresh :class:`Sampler` bound to the ambient registry."""
         registry = current_metrics()
         if not registry.enabled:
             return None
-        return Sampler(registry, self.window_ns, self.retention)
-
-    def spec(self) -> typing.Tuple[float, typing.Optional[int]]:
-        """Hashable identity for cache keys and provenance."""
-        return (self.window_ns, self.retention)
+        return Sampler(registry, self.window_ns)
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +281,9 @@ _HEAT = " ░▒▓█"
 #: ASCII fallbacks (same level counts) for dumb/non-UTF-8 terminals.
 _SPARK_ASCII = "_.-:=+*#"
 _HEAT_ASCII = " .:*#"
+#: Ramp per ``(heat, ascii_)`` choice of :func:`render_watch`.
+_GLYPHS = {(False, False): _SPARK, (True, False): _HEAT,
+           (False, True): _SPARK_ASCII, (True, True): _HEAT_ASCII}
 
 
 def supports_unicode(stream: typing.Optional[typing.TextIO] = None) -> bool:
@@ -352,13 +306,14 @@ def supports_unicode(stream: typing.Optional[typing.TextIO] = None) -> bool:
 
 
 def sparkline(values: typing.Sequence[float], width: int = 60,
-              ascii_: bool = False) -> str:
-    """A sparkline of ``values``, resampled to ``width`` cells.
+              glyphs: str = _SPARK) -> str:
+    """A ramp of ``values``, resampled to ``width`` cells.
 
-    ``ascii_`` swaps the unicode block glyphs for ASCII ramps (same
-    number of levels) on terminals :func:`supports_unicode` rejects.
+    Each cell is the ``glyphs`` character at its value's level between
+    the series' min and max: the block ramp draws a sparkline, the
+    shading ramp a one-row heatmap, and their ASCII stand-ins (same
+    number of levels) serve terminals :func:`supports_unicode` rejects.
     """
-    glyphs = _SPARK_ASCII if ascii_ else _SPARK
     if not values:
         return ""
     cells = _resample(values, width)
@@ -369,23 +324,6 @@ def sparkline(values: typing.Sequence[float], width: int = 60,
     return "".join(
         glyphs[min(len(glyphs) - 1,
                    int((value - lo) / span * len(glyphs)))]
-        for value in cells)
-
-
-def heatline(values: typing.Sequence[float], width: int = 60,
-             ascii_: bool = False) -> str:
-    """Density shading of ``values`` — reads as a one-row heatmap."""
-    glyphs = _HEAT_ASCII if ascii_ else _HEAT
-    if not values:
-        return ""
-    cells = _resample(values, width)
-    lo, hi = min(cells), max(cells)
-    span = hi - lo
-    if span <= 0:
-        return glyphs[0] * len(cells)
-    return "".join(
-        glyphs[min(len(glyphs) - 1,
-                  int((value - lo) / span * len(glyphs)))]
         for value in cells)
 
 
@@ -411,12 +349,12 @@ def render_watch(document: typing.Dict[str, typing.Any],
     window = document.get("window_ns", 0.0)
     lines.append(f"time series ({len(series)} series, "
                  f"window {window:g} ns)")
-    render = heatline if heat else sparkline
+    glyphs = _GLYPHS[heat, ascii_]
     name_width = max((len(name) for name in series), default=0)
     for name in sorted(series):
         values = series[name]["v"]
         lines.append(
-            f"  {name:<{name_width}}  {render(values, width, ascii_)}  "
+            f"  {name:<{name_width}}  {sparkline(values, width, glyphs)}  "
             f"min={min(values):g} max={max(values):g} "
             f"last={values[-1]:g}" if values else
             f"  {name:<{name_width}}  (empty)")

@@ -157,6 +157,37 @@ class TestTimeseriesFlags:
         assert document["window_ns"] == 500.0
         assert any(".window." in name for name in document["series"])
 
+    def test_window_means_read_the_level_series(self, tmp_path, capsys):
+        # Every windowed level sample is exactly the time-weighted mean
+        # of the step series its component writes, over that window.
+        from repro.sim import TimeSeries
+        from repro.telemetry import load_timeseries
+
+        out = tmp_path / "ts.json"
+        assert cli.main(["fig07", "--quick", "--timeseries", str(out),
+                         "--window", "500"]) == 0
+        capsys.readouterr()
+        document = load_timeseries(str(out))
+        series = document["series"]
+        window = document["window_ns"]
+        levels = {"pairs_in_use": "pairs_in_use",
+                  "inflight": "queue_depth",
+                  "store_queue": "store_queue_depth"}
+        checked = dict.fromkeys(levels, 0)
+        for path, entry in series.items():
+            prefix, _, kind = path.partition(".window.")
+            if kind not in levels:
+                continue
+            level = TimeSeries()
+            raw = series.get(f"{prefix}.{levels[kind]}", {"t": [], "v": []})
+            for time, value in zip(raw["t"], raw["v"]):
+                level.record(time, value)
+            for start, mean in zip(entry["t"], entry["v"]):
+                assert mean == level.time_weighted_mean(
+                    start, start + window), (path, start)
+            checked[kind] += len(entry["t"])
+        assert all(checked.values()), checked
+
     def test_csv_export(self, tmp_path, capsys):
         out = tmp_path / "ts.csv"
         assert cli.main(["fig12", "--quick", "--timeseries", str(out),

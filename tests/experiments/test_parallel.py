@@ -19,8 +19,8 @@ CAPTURES = {
     "metrics": TelemetrySpec(metrics=True),
     "spans": TelemetrySpec(spans=True),
     "kernel_events": TelemetrySpec(spans=True, kernel_events=True),
-    "sampling": TelemetrySpec(metrics=True, sampling=(500.0, None)),
-    "rewindowed": TelemetrySpec(metrics=True, sampling=(250.0, None)),
+    "sampling": TelemetrySpec(metrics=True, sampling=500.0),
+    "rewindowed": TelemetrySpec(metrics=True, sampling=250.0),
     "hostprof": TelemetrySpec(hostprof=True),
 }
 

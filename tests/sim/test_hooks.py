@@ -113,7 +113,7 @@ def test_nothing_installed_leaves_the_kernel_unhooked():
 
 def test_nested_activation_does_not_double_a_hook():
     telemetry = Telemetry.from_spec(TelemetrySpec(
-        metrics=True, sampling=(WINDOW_NS, None), hostprof=True))
+        metrics=True, sampling=WINDOW_NS, hostprof=True))
     with telemetry.activate():
         outer = current_hook_providers()
         with telemetry.activate(), use_hooks(telemetry.hostprof):

@@ -2,15 +2,29 @@
 
 import pytest
 
-from repro.sim import KernelHook, Simulator, current_hook_providers
+from repro.sim import KernelHook, Simulator, TimeSeries, current_hook_providers
 from repro.sim import use_hooks
+from repro.sim.sampling import WindowSampler
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
+from repro.telemetry.session import Telemetry
 from repro.telemetry.timeseries import Sampler, SamplingConfig
 
 
-def _sampler(window_ns=10.0, retention=None):
+def _sampler(window_ns=10.0):
     registry = MetricsRegistry()
-    return Sampler(registry, window_ns, retention), registry
+    return Sampler(registry, window_ns), registry
+
+
+def _level(sampler, path="q.depth"):
+    """A step series watched at ``path``, plus an ``adjust`` helper."""
+    level = TimeSeries("level")
+    sampler.watch_level(path, level)
+
+    def adjust(now, delta):
+        level.record(now, (level.values[-1] if level.values else 0.0)
+                     + delta)
+
+    return level, adjust
 
 
 class TestAmbientProvider:
@@ -45,6 +59,7 @@ class TestAmbientProvider:
     def test_sampler_is_a_kernel_hook(self):
         sampler, _ = _sampler()
         assert isinstance(sampler, KernelHook)
+        assert isinstance(sampler, WindowSampler)
         sampler.after_event(None, ())  # inherited no-op: must not raise
 
     def test_config_validates_window(self):
@@ -52,12 +67,13 @@ class TestAmbientProvider:
             SamplingConfig(window_ns=0.0)
         with pytest.raises(ValueError):
             Sampler(MetricsRegistry(), window_ns=float("inf"))
-        with pytest.raises(ValueError):
-            Sampler(MetricsRegistry(), window_ns=10.0, retention=0)
 
     def test_config_spec_is_hashable_identity(self):
-        assert SamplingConfig(250.0, 8).spec() == (250.0, 8)
-        assert hash(SamplingConfig(250.0).spec())
+        # The window width alone names a sampling policy in the bundle
+        # spec (and so in every result-cache key).
+        spec = Telemetry(timeseries=SamplingConfig(250.0)).spec()
+        assert spec.sampling == 250.0
+        assert hash(spec)
 
 
 class TestWindowSemantics:
@@ -65,13 +81,13 @@ class TestWindowSemantics:
         # Level 1 for 7 ns then 0 for 3 ns, each 10 ns window -> 0.7.
         sampler, registry = _sampler(window_ns=10.0)
         sim = Simulator(hooks=(sampler,))
-        tracker = sampler.track("q.depth")
+        _, adjust = _level(sampler)
 
         def duty():
             for _ in range(3):
-                tracker.adjust(sim.now, 1.0)
+                adjust(sim.now, 1.0)
                 yield sim.timeout(7.0)
-                tracker.adjust(sim.now, -1.0)
+                adjust(sim.now, -1.0)
                 yield sim.timeout(3.0)
 
         sim.process(duty())
@@ -87,11 +103,11 @@ class TestWindowSemantics:
         # [0, 10) window.
         sampler, registry = _sampler(window_ns=10.0)
         sim = Simulator(hooks=(sampler,))
-        tracker = sampler.track("q.depth")
+        level, _ = _level(sampler)
 
         def jump():
             yield sim.timeout(10.0)
-            tracker.set_level(sim.now, 5.0)
+            level.record(sim.now, 5.0)
             yield sim.timeout(10.0)
 
         sim.process(jump())
@@ -103,10 +119,10 @@ class TestWindowSemantics:
     def test_partial_final_window_is_dropped(self):
         sampler, registry = _sampler(window_ns=10.0)
         sim = Simulator(hooks=(sampler,))
-        tracker = sampler.track("q.depth")
+        level, _ = _level(sampler)
 
         def run():
-            tracker.set_level(sim.now, 1.0)
+            level.record(sim.now, 1.0)
             yield sim.timeout(25.0)  # ends mid-window
 
         sim.process(run())
@@ -117,10 +133,10 @@ class TestWindowSemantics:
     def test_run_until_flushes_trailing_windows(self):
         sampler, registry = _sampler(window_ns=10.0)
         sim = Simulator(hooks=(sampler,))
-        tracker = sampler.track("q.depth")
+        level, _ = _level(sampler)
 
         def run():
-            tracker.set_level(sim.now, 2.0)
+            level.record(sim.now, 2.0)
             yield sim.timeout(5.0)  # last event at t=5
 
         sim.process(run())
@@ -147,29 +163,12 @@ class TestWindowSemantics:
         assert series.times == [0.0, 10.0, 20.0]
         assert series.values == [0.0, 4.0, 4.0]
 
-    def test_retention_keeps_only_the_most_recent_windows(self):
-        sampler, registry = _sampler(window_ns=10.0, retention=3)
-        sim = Simulator(hooks=(sampler,))
-        tracker = sampler.track("q.depth")
-
-        def run():
-            for level in range(10):
-                tracker.set_level(sim.now, float(level))
-                yield sim.timeout(10.0)
-
-        sim.process(run())
-        sim.run()
-        series = registry.series("q.depth")
-        assert len(series.times) == 3
-        assert series.times == [70.0, 80.0, 90.0]
-        assert series.values == pytest.approx([7.0, 8.0, 9.0])
-
     def test_no_drift_over_many_windows(self):
         # Boundaries come from an integer index, not repeated addition:
         # after 10k windows of 0.1 ns the boundary is still exact.
         sampler, registry = _sampler(window_ns=0.1)
         sim = Simulator(hooks=(sampler,))
-        sampler.track("q.depth")
+        _level(sampler)
 
         def run():
             yield sim.timeout(1000.0)
@@ -184,13 +183,13 @@ class TestWindowSemantics:
             sampler, registry = _sampler(window_ns=10.0)
             sim = Simulator(hooks=(sampler,),
                             tiebreak_seed=tiebreak_seed)
-            tracker = sampler.track("q.depth")
+            _, adjust = _level(sampler)
 
             def agent(delay):
                 yield sim.timeout(delay)
-                tracker.adjust(sim.now, 1.0)
+                adjust(sim.now, 1.0)
                 yield sim.timeout(12.0)
-                tracker.adjust(sim.now, -1.0)
+                adjust(sim.now, -1.0)
 
             for _ in range(4):  # four agents, same timestamps
                 sim.process(agent(4.0))
@@ -201,3 +200,47 @@ class TestWindowSemantics:
         fifo = trace(None)
         assert trace(7) == fifo
         assert trace(1234) == fifo
+
+
+class TestWatchLevel:
+    """A window sample is the level's time-weighted mean over it."""
+
+    def _means(self, samples, windows, window_ns=10.0):
+        sampler, registry = _sampler(window_ns)
+        level, _ = _level(sampler)
+        for time, value in samples:
+            level.record(time, value)
+        sampler.before_instant(windows * window_ns)
+        return registry.series("q.depth").values
+
+    def test_constant_level(self):
+        assert self._means([(0.0, 3.0)], 1) == [3.0]
+
+    def test_mid_window_change(self):
+        # [0,5): 2, [5,10): 4 -> mean 3.
+        assert self._means([(0.0, 2.0), (5.0, 4.0)], 1) == [3.0]
+
+    def test_level_carries_across_windows(self):
+        # No samples in the second window: the level persists.
+        assert self._means([(0.0, 6.0)], 2) == [6.0, 6.0]
+
+    def test_same_instant_changes_keep_the_last(self):
+        # Two changes at t=0 and two at t=5: the later of each pair
+        # holds.  [0,5): 4, [5,10): 1 -> mean 2.5.
+        assert self._means([(0.0, 2.0), (0.0, 4.0),
+                            (5.0, 3.0), (5.0, 1.0)], 1) == [2.5]
+
+    def test_idle_windows_between_changes(self):
+        # A change in window 0 and one in window 3; windows 1-2 idle.
+        means = self._means([(5.0, 2.0), (35.0, 0.0)], 4)
+        assert means == [1.0, 2.0, 2.0, 1.0]
+
+    def test_matches_time_weighted_mean_exactly(self):
+        samples = [(0.3, 1.0), (1.7, 3.0), (1.7, 2.0), (9.9, 5.0),
+                   (10.0, 0.0), (14.2, 7.0), (31.1, 1.0)]
+        level = TimeSeries()
+        for time, value in samples:
+            level.record(time, value)
+        means = self._means(samples, 4)
+        assert means == [level.time_weighted_mean(k * 10.0, (k + 1) * 10.0)
+                         for k in range(4)]

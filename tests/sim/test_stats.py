@@ -102,12 +102,6 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries().time_weighted_mean(5.0, 5.0)
 
-    def test_integral(self):
-        ts = TimeSeries()
-        ts.record(0.0, 1.0)
-        assert ts.integral(0.0, 8.0) == pytest.approx(8.0)
-        assert ts.integral(8.0, 8.0) == 0.0
-
     def test_resample_buckets(self):
         ts = TimeSeries()
         ts.record(0.0, 0.0)

@@ -1,130 +1,99 @@
-"""Interval-gauge math: clipping, zero-duration runs, re-entrancy."""
-
-import math
+"""The profile dashboard's span-derived gauges: track busy% and L = λ·W."""
 
 import pytest
 
 from repro.sim import Simulator
-from repro.telemetry.gauges import (
-    IntervalGauge,
-    capture_window,
-    littles_law,
-    merged_length,
-    request_depth_series,
-    track_gauges,
-    utilization_table,
+from repro.telemetry.dashboard import (
+    _merged_length,
+    _request_depth_series,
+    build_profile,
 )
 from repro.telemetry.tracer import RecordingTracer, use_tracer
 
 
+def _record(tracer, name, track, start, end, asynchronous=False, **args):
+    tracer.emit(name, track, start, end, asynchronous=asynchronous, **args)
+
+
+def _rows(tracer):
+    """``{track: row}`` of the busiest-tracks table."""
+    return {row.track: row
+            for row in build_profile("t", tracer.spans).utilization}
+
+
 # ----------------------------------------------------------------------
-# merged_length
+# Union length
 # ----------------------------------------------------------------------
 def test_merged_length_unions_overlaps():
-    assert merged_length([(0.0, 10.0), (5.0, 15.0)]) == 15.0
+    assert _merged_length([(0.0, 10.0), (5.0, 15.0)]) == 15.0
 
 
 def test_merged_length_disjoint():
-    assert merged_length([(0.0, 2.0), (5.0, 6.0)]) == 3.0
+    assert _merged_length([(0.0, 2.0), (5.0, 6.0)]) == 3.0
 
 
 def test_merged_length_empty_and_degenerate():
-    assert merged_length([]) == 0.0
-    assert merged_length([(3.0, 3.0)]) == 0.0
+    assert _merged_length([]) == 0.0
+    assert _merged_length([(3.0, 3.0)]) == 0.0
 
 
 # ----------------------------------------------------------------------
-# IntervalGauge basics
+# Busiest tracks
 # ----------------------------------------------------------------------
-def test_busy_ns_clips_at_window_edges():
-    gauge = IntervalGauge()
-    gauge.add_interval(0.0, 100.0)
-    assert gauge.busy_ns(25.0, 75.0) == 50.0
-    assert gauge.utilization(25.0, 75.0) == 1.0
+def test_utilization_is_over_the_capture_window():
+    # The window runs from t=0 to the latest span end of any track, so
+    # a lane busy for the middle half of the run reads 50%.
+    tracer = RecordingTracer()
+    _record(tracer, "read_burst", "ch0.bus", 25.0, 75.0)
+    _record(tracer, "read 0x0", "requests", 0.0, 100.0, asynchronous=True)
+    profile = build_profile("t", tracer.spans)
+    assert profile.window_ns == 100.0
+    (row,) = profile.utilization
+    assert (row.track, row.busy_ns, row.utilization) == ("ch0.bus", 50.0,
+                                                         0.5)
 
 
-def test_interval_past_sim_end_clips():
-    # A span that ends after the sampling window (the sim-end clip).
-    gauge = IntervalGauge()
-    gauge.add_interval(80.0, 200.0)
-    assert gauge.busy_ns(0.0, 100.0) == 20.0
-    assert gauge.utilization(0.0, 100.0) == pytest.approx(0.2)
-
-
-def test_zero_duration_window_never_divides_by_zero():
-    gauge = IntervalGauge()
-    gauge.add_interval(0.0, 5.0)
-    assert gauge.busy_ns(3.0, 3.0) == 0.0
-    assert gauge.utilization(3.0, 3.0) == 0.0
-    assert gauge.utilization(5.0, 2.0) == 0.0
+def test_nested_holds_count_once():
+    tracer = RecordingTracer()
+    _record(tracer, "activate", "ch0.m0.p0", 0.0, 10.0)
+    _record(tracer, "activate", "ch0.m0.p0", 2.0, 8.0)
+    row = _rows(tracer)["ch0.m0.p0"]
+    assert row.busy_ns == 10.0
+    assert row.utilization == 1.0
+    assert row.span_count == 2
 
 
 def test_zero_length_interval_is_dropped():
-    gauge = IntervalGauge()
-    gauge.add_interval(4.0, 4.0)
-    assert gauge.interval_count == 0
-    assert gauge.busy_ns(0.0, 10.0) == 0.0
+    tracer = RecordingTracer()
+    _record(tracer, "cmd", "ch0.bus", 0.0, 10.0)
+    _record(tracer, "cmd", "ch0.bus", 4.0, 4.0)
+    row = _rows(tracer)["ch0.bus"]
+    assert row.busy_ns == 10.0
+    assert row.span_count == 2
+
+
+def test_zero_duration_window_never_divides_by_zero():
+    tracer = RecordingTracer()
+    _record(tracer, "cmd", "ch0.bus", 0.0, 0.0)
+    profile = build_profile("t", tracer.spans)
+    assert profile.window_ns == 0.0
+    (row,) = profile.utilization
+    assert row.busy_ns == 0.0
+    assert row.utilization == 0.0
 
 
 def test_backwards_interval_raises():
-    gauge = IntervalGauge("g")
-    with pytest.raises(ValueError, match="ends before it starts"):
-        gauge.add_interval(10.0, 5.0)
+    tracer = RecordingTracer()
+    _record(tracer, "cmd", "ch0.bus", 10.0, 5.0)
+    with pytest.raises(ValueError, match="runs backwards"):
+        build_profile("t", tracer.spans)
 
 
 def test_nan_rejected():
-    gauge = IntervalGauge()
-    with pytest.raises(ValueError):
-        gauge.add_interval(float("nan"), 1.0)
-    with pytest.raises(ValueError):
-        gauge.acquire(float("nan"))
-
-
-# ----------------------------------------------------------------------
-# Re-entrant acquire/release and open-hold sampling
-# ----------------------------------------------------------------------
-def test_nested_holds_count_once():
-    gauge = IntervalGauge()
-    gauge.acquire(0.0)
-    gauge.acquire(2.0)     # nested: must not double-count
-    gauge.release(8.0)
-    gauge.release(10.0)    # outermost close records [0, 10]
-    assert gauge.depth == 0
-    assert gauge.busy_ns(0.0, 10.0) == 10.0
-
-
-def test_open_hold_sampled_reentrantly():
-    # Sampling while the hold is still open clips it at the sample end.
-    gauge = IntervalGauge()
-    gauge.add_interval(0.0, 10.0)
-    gauge.acquire(20.0)
-    assert gauge.depth == 1
-    assert gauge.busy_ns(0.0, 30.0) == 20.0     # 10 closed + 10 open
-    # A second sample at a later end sees more of the open hold, and
-    # the earlier sample did not mutate state.
-    assert gauge.busy_ns(0.0, 50.0) == 40.0
-    gauge.release(60.0)
-    assert gauge.busy_ns(0.0, 60.0) == 50.0
-
-
-def test_open_hold_overlapping_closed_interval_not_double_counted():
-    gauge = IntervalGauge()
-    gauge.add_interval(0.0, 30.0)
-    gauge.acquire(20.0)
-    assert gauge.busy_ns(0.0, 40.0) == 40.0
-
-
-def test_release_without_acquire_raises():
-    gauge = IntervalGauge("bus")
-    with pytest.raises(ValueError, match="release without acquire"):
-        gauge.release(1.0)
-
-
-# ----------------------------------------------------------------------
-# Span-derived gauges
-# ----------------------------------------------------------------------
-def _record(tracer, name, track, start, end, asynchronous=False, **args):
-    tracer.emit(name, track, start, end, asynchronous=asynchronous, **args)
+    tracer = RecordingTracer()
+    _record(tracer, "cmd", "ch0.bus", float("nan"), 1.0)
+    with pytest.raises(ValueError, match="runs backwards"):
+        build_profile("t", tracer.spans)
 
 
 def test_track_gauges_excludes_queue_tracks():
@@ -133,27 +102,33 @@ def test_track_gauges_excludes_queue_tracks():
     _record(tracer, "read_chunk", "ch0.inflight", 0.0, 50.0,
             asynchronous=True)
     _record(tracer, "read 0x0", "requests", 0.0, 60.0, asynchronous=True)
-    gauges = track_gauges(tracer.spans)
-    assert set(gauges) == {"ch0.bus"}
-    assert gauges["ch0.bus"].busy_ns(0.0, 60.0) == 10.0
+    _record(tracer, "wake", "psc", 0.0, 60.0)
+    rows = _rows(tracer)
+    assert set(rows) == {"ch0.bus"}
+    assert rows["ch0.bus"].busy_ns == 10.0
 
 
 def test_capture_window_empty_run():
-    assert capture_window([]) == (0.0, 0.0)
-    assert utilization_table([]) == []
-    assert littles_law([]) is None
+    profile = build_profile("empty", [])
+    assert profile.window_ns == 0.0
+    assert profile.utilization == []
+    assert profile.littles is None
+    assert profile.empty
 
 
 def test_utilization_table_sorted_busiest_first():
     tracer = RecordingTracer()
     _record(tracer, "cmd", "ch0.bus", 0.0, 90.0)
     _record(tracer, "activate", "ch0.m0.p0", 0.0, 30.0)
-    table = utilization_table(tracer.spans)
+    table = build_profile("t", tracer.spans).utilization
     assert [row.track for row in table] == ["ch0.bus", "ch0.m0.p0"]
     assert table[0].utilization == pytest.approx(1.0)
     assert table[1].utilization == pytest.approx(30.0 / 90.0)
 
 
+# ----------------------------------------------------------------------
+# Request depth and Little's law
+# ----------------------------------------------------------------------
 def test_request_depth_series_handoff_no_phantom_spike():
     tracer = RecordingTracer()
     # One request completes at t=10 exactly as the next begins: depth
@@ -161,8 +136,9 @@ def test_request_depth_series_handoff_no_phantom_spike():
     _record(tracer, "read 0x0", "requests", 0.0, 10.0, asynchronous=True)
     _record(tracer, "read 0x1", "requests", 10.0, 20.0,
             asynchronous=True)
-    series = request_depth_series(tracer.spans)
+    series = _request_depth_series(tracer.spans)
     assert max(series.values) == 1.0
+    assert series.time_weighted_mean(0.0, 20.0) == 1.0
 
 
 def test_littles_law_exact_on_full_capture():
@@ -172,12 +148,13 @@ def test_littles_law_exact_on_full_capture():
             asynchronous=True)
     _record(tracer, "read 0x2", "requests", 20.0, 50.0,
             asynchronous=True)
-    check = littles_law(tracer.spans)
+    check = build_profile("t", tracer.spans).littles
     assert check is not None
-    assert check.request_count == 3
-    assert check.mean_latency_ns == pytest.approx(30.0)
-    # For a fully captured run the law is exact: the depth integral
-    # IS the summed residence time.
+    # 3 requests of 30 ns each over a 50 ns window: lambda*W = 1.8.
+    assert check.predicted_depth == pytest.approx(1.8)
+    assert check.mean_depth == pytest.approx(1.8)
+    # For a fully captured run the law is exact: the area under the
+    # depth series IS the summed residence time.
     assert check.consistent(1e-9)
     assert check.ratio == pytest.approx(1.0)
 
@@ -185,11 +162,12 @@ def test_littles_law_exact_on_full_capture():
 def test_littles_law_none_for_zero_duration():
     tracer = RecordingTracer()
     _record(tracer, "read 0x0", "requests", 5.0, 5.0, asynchronous=True)
-    assert littles_law(tracer.spans) is None
+    assert build_profile("t", tracer.spans).littles is None
 
 
 def test_gauges_from_live_simulation():
-    # End to end: a simulated producer occupying a resource-like track.
+    # End to end: a simulated device busy on one lane for 40 of its
+    # 100 ns and on another for the last 10.
     tracer = RecordingTracer()
     with use_tracer(tracer):
         sim = Simulator()
@@ -198,11 +176,14 @@ def test_gauges_from_live_simulation():
             start = sim.now
             yield sim.timeout(40.0)
             sim.tracer.emit("work", "dev.lane", start, sim.now)
-            yield sim.timeout(60.0)
+            yield sim.timeout(50.0)
+            start = sim.now
+            yield sim.timeout(10.0)
+            sim.tracer.emit("flush", "dev.bus", start, sim.now)
 
         sim.process(worker())
         sim.run()
-    gauges = track_gauges(tracer.spans)
-    assert gauges["dev.lane"].utilization(0.0, sim.now) == pytest.approx(
-        0.4)
-    assert math.isclose(capture_window(tracer.spans)[1], 40.0)
+    profile = build_profile("live", tracer.spans)
+    assert profile.window_ns == sim.now == 100.0
+    assert [(row.track, row.utilization) for row in profile.utilization] \
+        == [("dev.lane", 0.4), ("dev.bus", 0.1)]

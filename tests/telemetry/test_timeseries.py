@@ -5,52 +5,20 @@ import json
 import pytest
 
 from repro.controller import MemoryRequest, Op, PramSubsystem
-from repro.sim import Simulator, TimeSeries, use_hooks
+from repro.sim import Simulator, use_hooks
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 from repro.telemetry.session import Telemetry
 from repro.telemetry.timeseries import (
     TIMESERIES_SCHEMA,
     Sampler,
     SamplingConfig,
-    TimeWeightedTracker,
     export_document,
-    heatline,
     load_timeseries,
     render_watch,
     sparkline,
     validate_timeseries,
     write_timeseries,
 )
-
-
-class TestTimeWeightedTracker:
-    def test_constant_level(self):
-        tracker = TimeWeightedTracker(TimeSeries())
-        tracker.set_level(0.0, 3.0)
-        assert tracker.close(0.0, 10.0) == pytest.approx(3.0)
-
-    def test_mid_window_change(self):
-        tracker = TimeWeightedTracker(TimeSeries())
-        tracker.set_level(0.0, 2.0)
-        tracker.set_level(5.0, 4.0)
-        # [0,5): 2, [5,10): 4 -> mean 3.
-        assert tracker.close(0.0, 10.0) == pytest.approx(3.0)
-
-    def test_level_carries_across_windows(self):
-        tracker = TimeWeightedTracker(TimeSeries())
-        tracker.adjust(0.0, 6.0)
-        tracker.close(0.0, 10.0)
-        # No updates in the second window: the level persists.
-        assert tracker.close(10.0, 20.0) == pytest.approx(6.0)
-        assert tracker.level == 6.0
-
-    def test_adjust_is_relative(self):
-        tracker = TimeWeightedTracker(TimeSeries())
-        tracker.adjust(0.0, 2.0)
-        tracker.adjust(0.0, 2.0)
-        tracker.adjust(5.0, -3.0)
-        # [0,5): 4, [5,10): 1 -> mean 2.5.
-        assert tracker.close(0.0, 10.0) == pytest.approx(2.5)
 
 
 def _sampled_run(window_ns=500.0):
@@ -167,7 +135,7 @@ class TestRendering:
 
     def test_flat_series_renders_flat(self):
         assert sparkline([5.0, 5.0, 5.0]) == "▁▁▁"
-        assert heatline([5.0, 5.0]) == "  "
+        assert sparkline([5.0, 5.0], glyphs=" ░▒▓█") == "  "
 
     def test_resampling_compresses_long_series(self):
         assert len(sparkline(list(range(1000)), width=60)) == 60
@@ -185,6 +153,18 @@ class TestRendering:
             "series": {"q": {"t": [0.0, 10.0], "v": [0.0, 4.0]}},
             "sketches": {}}
         assert "█" in render_watch(document, heat=True)
+
+    @pytest.mark.parametrize("heat,ascii_,ramp", [
+        (False, False, "▁█"), (True, False, " █"),
+        (False, True, "_#"), (True, True, " #")])
+    def test_render_watch_picks_one_ramp_per_mode(self, heat, ascii_,
+                                                   ramp):
+        document = {
+            "schema": TIMESERIES_SCHEMA, "window_ns": 10.0,
+            "series": {"q": {"t": [0.0, 10.0], "v": [0.0, 4.0]}},
+            "sketches": {}}
+        text = render_watch(document, heat=heat, ascii_=ascii_)
+        assert f"  {ramp}  min=0 max=4 last=4" in text
 
 
 class TestTelemetrySession:
